@@ -32,7 +32,6 @@ from .partitions import (
     SetPartition,
     bell_number,
     block_type,
-    canonicalize,
     enumerate_multiindex_partitions,
     enumerate_partitions,
     is_complementary,
@@ -119,7 +118,6 @@ __all__ = [
     "alternating_coarsening_sum",
     "bell_number",
     "block_type",
-    "canonicalize",
     "collapse_indicator",
     "count_not_complementary",
     "csp_graph",

@@ -9,7 +9,6 @@ floating point in this module.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import product
 
@@ -18,6 +17,7 @@ from .errors import DimensionError
 from .indicator import (
     IndicatorMatrix,
     collapse_indicator,
+    from_indicator,
     labeling_rule,
     to_dummy_indicator,
 )
@@ -26,8 +26,10 @@ from .partitions import (
     MultiIndex,
     MultiIndexPartition,
     SetPartition,
+    _check_ground_set,
     _check_multi_index,
     _iter_partition_keys,
+    _moebius_weight,
     enumerate_multiindex_partitions,
     subdivision_coefficient,
 )
@@ -43,6 +45,24 @@ def _term(factors) -> Term:
     for mi, mult in factors:
         counts[mi] = counts.get(mi, 0) + mult
     return tuple(sorted(counts.items(), reverse=True))
+
+
+def _factors_text(key: Term, sym: str) -> str:
+    """``κ[1,0]^2 κ[0,1]``: each factor's symbol, index and power above one."""
+    return " ".join(
+        f"{sym}[{','.join(map(str, mi))}]" + (f"^{mult}" if mult > 1 else "")
+        for mi, mult in key
+    )
+
+
+def _join_signed(bits) -> str:
+    """``a - b + c`` from (negative, body) pairs; a leading minus is unspaced."""
+    (negative, out), *rest = bits
+    if negative:
+        out = "-" + out
+    for negative, body in rest:
+        out += f" {'-' if negative else '+'} {body}"
+    return out
 
 
 class Polynomial:
@@ -145,16 +165,12 @@ class Polynomial:
         return len(self.terms)
 
     def pretty(self) -> str:
-        sym = _SYMBOL_CHARS[self.symbol]
         if not self.terms:
             return "0"
         bits = []
         for key in sorted(self.terms, reverse=True):
             c = self.terms[key]
-            factors = " ".join(
-                f"{sym}[{','.join(str(e) for e in mi)}]" + (f"^{mult}" if mult > 1 else "")
-                for mi, mult in key
-            )
+            factors = _factors_text(key, _SYMBOL_CHARS[self.symbol])
             mag = abs(c)
             if not factors:
                 body = str(mag)
@@ -162,13 +178,8 @@ class Polynomial:
                 body = factors
             else:
                 body = f"{mag} {factors}"
-            bits.append(("-" if c < 0 else "+", body))
-
-        sign, body = bits[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in bits[1:]:
-            out += f" {sign} {body}"
-        return out
+            bits.append((c < 0, body))
+        return _join_signed(bits)
 
     def json_terms(self) -> list[dict]:
         out = []
@@ -217,11 +228,7 @@ def _cumulants_to_moments_cached(i: MultiIndex) -> Polynomial:
     terms: dict[Term, int] = {}
     for mip in enumerate_multiindex_partitions(i):
         key = tuple(zip(mip.columns, mip.multiplicities))
-        length = mip.length
-        sign = math.factorial(length - 1)
-        if (length - 1) % 2:
-            sign = -sign
-        terms[key] = sign * subdivision_coefficient(mip)
+        terms[key] = _moebius_weight(mip.length) * subdivision_coefficient(mip)
     return Polynomial(len(i), terms, "mu")
 
 
@@ -251,6 +258,7 @@ def generalized_cumulant_subtractive(p: SetPartition) -> Polynomial:
     """Same output as ``generalized_cumulant``, computed as the sum over the
     whole partition lattice minus the sum over the non-complementary family."""
     n = p.n
+    _check_ground_set(n)
     full: dict[Term, int] = {}
     for key in _iter_partition_keys(range(1, n + 1)):
         full[_partition_key_term(key, n)] = 1
@@ -303,17 +311,13 @@ def generalized_multivariate_cumulant_subtractive(mip: MultiIndexPartition) -> P
         return full
     t_sum = Polynomial.zero(arity, "kappa")
     for rho in _iter_partition_keys(range(length)):
-        parts = len(rho)
-        if parts < 2:
+        if len(rho) < 2:
             continue
-        weight = math.factorial(parts - 1)
-        if parts % 2:
-            weight = -weight
         prod_poly = Polynomial.one(arity, "kappa")
         for group in rho:
             merged = tuple(sum(cols[q][k] for q in group) for k in range(arity))
             prod_poly = prod_poly * moments_to_cumulants(merged)
-        t_sum = t_sum + prod_poly.scale(weight)
+        t_sum = t_sum + prod_poly.scale(-_moebius_weight(len(rho)))
     return full - t_sum
 
 
@@ -346,16 +350,9 @@ def generalized_cumulant_in_moments(mat: IndicatorMatrix) -> Polynomial:
     moment factor and collecting reproduces ``generalized_cumulant``.
     """
     n = mat.n
-    blocks = tuple(
-        tuple(t + 1 for t in range(n) if col[t]) for col in mat.columns
-    )
     terms: dict[Term, int] = {}
-    for key in _coarsening_keys(blocks):
-        length = len(key)
-        sign = math.factorial(length - 1)
-        if (length - 1) % 2:
-            sign = -sign
-        terms[_partition_key_term(key, n)] = sign
+    for key in _coarsening_keys(from_indicator(mat).blocks):
+        terms[_partition_key_term(key, n)] = _moebius_weight(len(key))
     return Polynomial(n, terms, "mu")
 
 
@@ -363,11 +360,8 @@ def moment_product_expansion(mat: IndicatorMatrix) -> Polynomial:
     """Product of the blockwise joint moments written in cumulants: one term of
     coefficient 1 per partition refining the encoded partition."""
     n = mat.n
-    blocks = tuple(
-        tuple(t + 1 for t in range(n) if col[t]) for col in mat.columns
-    )
     terms: dict[Term, int] = {}
-    for key in _refinement_keys(blocks):
+    for key in _refinement_keys(from_indicator(mat).blocks):
         terms[_partition_key_term(key, n)] = 1
     return Polynomial(n, terms, "kappa")
 
@@ -375,11 +369,4 @@ def moment_product_expansion(mat: IndicatorMatrix) -> Polynomial:
 def alternating_coarsening_sum(mat: IndicatorMatrix) -> int:
     """Sum of (-1)^(blocks-1) (blocks-1)! over the coarsenings of the encoded
     partition: 1 for the one-block partition, 0 for everything else."""
-    total = 0
-    for grouping in _iter_partition_keys(range(mat.m)):
-        length = len(grouping)
-        sign = math.factorial(length - 1)
-        if (length - 1) % 2:
-            sign = -sign
-        total += sign
-    return total
+    return sum(_moebius_weight(len(g)) for g in _iter_partition_keys(range(mat.m)))

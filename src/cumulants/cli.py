@@ -31,6 +31,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _block_types(text: str) -> list[IntegerPartition]:
+    try:
+        return [
+            IntegerPartition(int(x) for x in chunk.split(","))
+            for chunk in text.split(";")
+            if chunk.strip()
+        ]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad block types {text!r}: {exc}") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cumulants", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -60,7 +71,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("bench", help="algorithm comparison benchmark")
-    p.add_argument("--types", default=None, help='e.g. "2,2,3;3,4"')
+    p.add_argument("--types", type=_block_types, default=None, help='e.g. "2,2,3;3,4"')
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--include-n10", action="store_true",
                    help="also run the heavy ground-set-10 rows")
@@ -144,13 +155,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.types:
-        types = [
-            IntegerPartition(int(x) for x in chunk.split(","))
-            for chunk in args.types.split(";")
-            if chunk.strip()
-        ]
-    else:
+    types = args.types
+    if not types:
         types = [IntegerPartition(t) for t in bench_mod.DEFAULT_TYPES]
         if args.include_n10:
             types += [IntegerPartition(t) for t in bench_mod.LARGE_TYPES]

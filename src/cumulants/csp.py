@@ -17,17 +17,20 @@ Every algorithm returns the same set, ordered by the cr2 text key:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from time import perf_counter
 
 from .errors import AlgebraConsistencyError, IncompatibleTypeError
-from .indicator import IndicatorMatrix
+from .indicator import IndicatorMatrix, from_indicator, to_indicator
+from .linalg import integer_rank
 from .partitions import (
     Blocks,
     SetPartition,
+    _check_ground_set,
     _iter_partition_keys,
+    _moebius_weight,
+    _text_key,
     bell_number,
     block_type,
 )
@@ -45,62 +48,39 @@ class CspResult:
     elapsed: float
 
 
-def _key_str(key: Blocks) -> str:
-    return "|".join(",".join(str(e) for e in b) for b in key)
-
-
 def _finish(p: SetPartition, name: str, keys, t0: float) -> CspResult:
-    frag: dict[tuple[int, ...], str] = {}
-
-    def key_str(key: Blocks) -> str:
-        parts = []
-        for b in key:
-            s = frag.get(b)
-            if s is None:
-                s = frag[b] = ",".join(map(str, b))
-            parts.append(s)
-        return "|".join(parts)
-
-    keys = sorted(keys, key=key_str)
+    keys = sorted(keys, key=_text_key())
     parts = tuple(SetPartition._from_key(p.n, k) for k in keys)
     return CspResult(p, name, parts, perf_counter() - t0)
 
 
-def _mask_block(mask: int) -> tuple[int, ...]:
+def _set_bits(x: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``x``, increasing."""
     out = []
-    while mask:
-        low = mask & -mask
+    while x:
+        low = x & -x
         out.append(low.bit_length() - 1)
-        mask ^= low
+        x ^= low
     return tuple(out)
 
 
-def _iter_partition_codes(elements):
-    """Partition codes along the restricted-growth walk.
+def _iter_block_masks(elements):
+    """Block masks (bit e set for element e) of every partition of ``elements``.
 
-    The group masks are maintained incrementally (a step only touches the
-    changed suffix, amortized O(1) positions) and the code is re-summed over
-    the live groups, which number far fewer than the elements.
+    Knuth's restricted-growth walk (TAOCP 4A, 7.2.1.5, Algorithm H) with the
+    masks maintained incrementally: a step only touches the changed suffix,
+    amortized O(1) positions.  Blocks come in order of first occurrence, which
+    is cr2 order when ``elements`` is sorted.
     """
-    els = list(elements)
-    n = len(els)
-    if n == 0:
-        yield 0
-        return
-    bits = [1 << e for e in els]
-    full = 0
-    for b in bits:
-        full |= b
+    bits = [1 << e for e in elements]
+    n = len(bits)
     rgs = [0] * n
     maxi = [0] * n
     masks = [0] * (n + 1)
-    masks[0] = full
+    masks[0] = sum(bits)
     last = n - 1
     while True:
-        code = 0
-        for g in range(maxi[last] + 1):
-            code += 1 << masks[g]
-        yield code
+        yield masks[: maxi[last] + 1]
         j = last
         while j > 0 and rgs[j] == maxi[j - 1] + 1:
             j -= 1
@@ -123,26 +103,13 @@ def _iter_partition_codes(elements):
             maxi[t] = mj
 
 
-def _side_codes(elements: list[int]) -> list[int]:
-    """Partition codes of a side of a split; tiny sides hand-rolled."""
-    if len(elements) == 1:
-        return [1 << (1 << elements[0])]
-    if len(elements) == 2:
-        b1 = 1 << elements[0]
-        b2 = 1 << elements[1]
-        return [1 << (b1 | b2), (1 << b1) + (1 << b2)]
-    if len(elements) == 3:
-        b1 = 1 << elements[0]
-        b2 = 1 << elements[1]
-        b3 = 1 << elements[2]
-        return [
-            1 << (b1 | b2 | b3),
-            (1 << (b1 | b2)) + (1 << b3),
-            (1 << (b1 | b3)) + (1 << b2),
-            (1 << (b2 | b3)) + (1 << b1),
-            (1 << b1) + (1 << b2) + (1 << b3),
-        ]
-    return list(_iter_partition_codes(elements))
+def _code(masks) -> int:
+    """Partition code: 1 << mask summed over the blocks.  Distinct partitions
+    get distinct codes, and partitions of disjoint sets glue by addition."""
+    code = 0
+    for mask in masks:
+        code += 1 << mask
+    return code
 
 
 def _two_block_excluded_codes(blocks: Blocks) -> set[int]:
@@ -159,107 +126,43 @@ def _two_block_excluded_codes(blocks: Blocks) -> set[int]:
         side1 = [blocks[0]]
         for j in range(1, m):
             (side2 if (s >> (j - 1)) & 1 else side1).append(blocks[j])
-        a1 = sorted(e for b in side1 for e in b)
-        a2 = sorted(e for b in side2 for e in b)
+        a1 = [e for b in side1 for e in b]
+        a2 = [e for b in side2 for e in b]
         if len(a1) < len(a2):
             a1, a2 = a2, a1
-        inner = _side_codes(a2)
-        if len(inner) == 1:
-            c2 = inner[0]
-            for c1 in _iter_partition_codes(a1):
+        inner = [_code(masks) for masks in _iter_block_masks(a2)]
+        for masks in _iter_block_masks(a1):
+            c1 = _code(masks)
+            for c2 in inner:
                 add(c1 + c2)
-        else:
-            for c1 in _iter_partition_codes(a1):
-                for c2 in inner:
-                    add(c1 + c2)
     return excluded
-
-
-def _decode_partition_code(code: int) -> list[int]:
-    """Block masks back out of a partition code."""
-    masks = []
-    while code:
-        low = code & -code
-        masks.append(low.bit_length() - 1)
-        code ^= low
-    return masks
 
 
 def _two_block_excluded_keys(blocks: Blocks) -> set[Blocks]:
     """Block-tuple view of the excluded family (for the non-timing callers)."""
-    cache: dict[int, tuple[int, ...]] = {}
-    out = set()
-    for code in _two_block_excluded_codes(blocks):
-        converted = []
-        for mask in _decode_partition_code(code):
-            block = cache.get(mask)
-            if block is None:
-                block = cache[mask] = _mask_block(mask)
-            converted.append(block)
-        converted.sort()
-        out.add(tuple(converted))
-    return out
+    return {
+        tuple(sorted(map(_set_bits, _set_bits(code))))
+        for code in _two_block_excluded_codes(blocks)
+    }
 
 
 def csp_twoblock(p: SetPartition) -> CspResult:
     """Full lattice minus the partitions generated from two-block splits."""
+    _check_ground_set(p.n)
     t0 = perf_counter()
-    n = p.n
-    blocks = p.cr2_key()
-    if len(blocks) == 1:
-        keys = list(_iter_partition_keys(range(1, n + 1)))
-        return _finish(p, "twoblock", keys, t0)
-    excluded = _two_block_excluded_codes(blocks)
-    # Candidate walk inlined with incrementally maintained group masks: one
-    # visit per partition of [n] is the hot loop.
-    survivors: list[tuple[int, ...]] = []
-    append = survivors.append
-    contains = excluded.__contains__
-    bits = [0] + [1 << e for e in range(1, n + 1)]
-    full = (1 << (n + 1)) - 2
-    rgs = [0] * n
-    maxi = [0] * n
-    masks = [0] * (n + 1)
-    masks[0] = full
-    last = n - 1
-    while True:
-        ngroups = maxi[last] + 1
-        code = 0
-        for g in range(ngroups):
-            code += 1 << masks[g]
-        if not contains(code):
-            append(tuple(masks[:ngroups]))
-        j = last
-        while j > 0 and rgs[j] == maxi[j - 1] + 1:
-            j -= 1
-        if j == 0:
-            break
-        gj = rgs[j]
-        bj = bits[j + 1]
-        masks[gj] ^= bj
-        masks[gj + 1] |= bj
-        rgs[j] = gj + 1
-        for t in range(j + 1, n):
-            gt = rgs[t]
-            if gt:
-                bt = bits[t + 1]
-                masks[gt] ^= bt
-                masks[0] |= bt
-                rgs[t] = 0
-        mj = maxi[j - 1] if maxi[j - 1] >= gj + 1 else gj + 1
-        for t in range(j, n):
-            maxi[t] = mj
-    cache: dict[int, tuple[int, ...]] = {}
+    excluded = _two_block_excluded_codes(p.cr2_key())
+    block_of: dict[int, tuple[int, ...]] = {}
     keys = []
-    for mask_key in survivors:
-        converted = []
-        for mask in mask_key:
-            block = cache.get(mask)
+    for masks in _iter_block_masks(range(1, p.n + 1)):
+        if _code(masks) in excluded:
+            continue
+        key = []
+        for mask in masks:
+            block = block_of.get(mask)
             if block is None:
-                block = cache[mask] = _mask_block(mask)
-            converted.append(block)
-        converted.sort()
-        keys.append(tuple(converted))
+                block = block_of[mask] = _set_bits(mask)
+            key.append(block)
+        keys.append(tuple(key))
     return _finish(p, "twoblock", keys, t0)
 
 
@@ -274,6 +177,7 @@ def _path_edges(blocks: Blocks) -> list[tuple[int, int]]:
 
 def csp_graph(p: SetPartition) -> CspResult:
     """Union-find connectivity of the combined clique covers."""
+    _check_ground_set(p.n)
     t0 = perf_counter()
     n = p.n
     p_edges = _path_edges(p.cr2_key())
@@ -324,42 +228,12 @@ def _laplacian_connected(n: int, edges: set[tuple[int, int]]) -> bool:
         lap[b - 1][b - 1] += 1
         lap[a - 1][b - 1] -= 1
         lap[b - 1][a - 1] -= 1
-    return _integer_rank_inline(lap) == n - 1
-
-
-def _integer_rank_inline(m: list[list[int]]) -> int:
-    # Bareiss elimination, kept local to avoid call overhead in the hot loop.
-    nr = len(m)
-    nc = len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        piv = None
-        for r in range(rank, nr):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        pivot = pr[col]
-        for r in range(rank + 1, nr):
-            row = m[r]
-            f = row[col]
-            for c in range(col + 1, nc):
-                row[c] = (pivot * row[c] - f * pr[c]) // prev
-            row[col] = 0
-        prev = pivot
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+    return integer_rank(lap) == n - 1
 
 
 def csp_laplacian(p: SetPartition) -> CspResult:
     """Rank test on the Laplacian of the combined clique covers: rank n-1 means connected."""
+    _check_ground_set(p.n)
     t0 = perf_counter()
     n = p.n
     p_cliques = _clique_edges(p.cr2_key())
@@ -380,6 +254,7 @@ def csp_nullspace(p: SetPartition) -> CspResult:
     dimension at least 2.  Filters (a) and (b) never apply to the all-ones
     column, which would be a false positive.
     """
+    _check_ground_set(p.n)
     t0 = perf_counter()
     n = p.n
     blocks = p.cr2_key()
@@ -432,7 +307,7 @@ def csp_nullspace(p: SetPartition) -> CspResult:
             row[block_id[t]] = 1
             row[m + cand_id[t]] = -1
             rows.append(row)
-        if m + mt - _integer_rank_inline(rows) == 1:
+        if m + mt - integer_rank(rows) == 1:
             out.append(key)
     return _finish(p, "nullspace", out, t0)
 
@@ -442,6 +317,7 @@ def csp_stafford(p: SetPartition) -> CspResult:
     sum of joint moments, expand every joint moment back into cumulant products,
     and collect.  Surviving terms are indexed by the complementary partitions
     and must all carry coefficient one; anything else signals a bug."""
+    _check_ground_set(p.n)
     t0 = perf_counter()
     blocks = p.cr2_key()
     m = len(blocks)
@@ -456,10 +332,7 @@ def csp_stafford(p: SetPartition) -> CspResult:
 
     coeffs: dict[Blocks, int] = {}
     for sigma in _iter_partition_keys(range(m)):
-        fold = len(sigma)
-        sign = math.factorial(fold - 1)
-        if (fold - 1) % 2:
-            sign = -sign
+        sign = _moebius_weight(len(sigma))
         merged = [tuple(sorted(e for j in c for e in blocks[j])) for c in sigma]
         lists = [parts_of(a) for a in merged]
         for combo in product(*lists):
@@ -474,7 +347,7 @@ def csp_stafford(p: SetPartition) -> CspResult:
             continue
         if c != 1:
             raise AlgebraConsistencyError(
-                f"coefficient {c} for {_key_str(key)}; expected 1"
+                f"coefficient {c} for {_text_key()(key)}; expected 1"
             )
         out.append(key)
     return _finish(p, "stafford", out, t0)
@@ -495,46 +368,18 @@ def count_not_complementary(p: SetPartition) -> int:
 
     Each split contributes the partitions refining its two-set coarsening, and
     an intersection of splits contributes the partitions refining the common
-    coarsening, whose count is a product of Bell numbers.  For up to 15 splits
-    the subsets are enumerated literally; beyond that the subsets are grouped
-    by their common coarsening, which turns the sum into one over the set
+    coarsening, whose count is a product of Bell numbers.  Grouping the subsets
+    of splits by their common coarsening turns the sum into one over the set
     partitions of the block indexes with at least two parts, weighted by
-    (-1)^parts * (parts-1)!.  Both evaluations are the same sum.
+    (-1)^parts * (parts-1)!.
     """
-    blocks = p.cr2_key()
-    m = len(blocks)
-    if m == 1:
-        return 0
-    sizes = [len(b) for b in blocks]
-    nsplits = (1 << (m - 1)) - 1
-    if nsplits <= 15:
-        masks = []
-        for s in range(1, 1 << (m - 1)):
-            mask = 0
-            for j in range(1, m):
-                if (s >> (j - 1)) & 1:
-                    mask |= 1 << j
-            masks.append(mask)
-        total = 0
-        for chosen in range(1, 1 << nsplits):
-            selected = [masks[i] for i in range(nsplits) if (chosen >> i) & 1]
-            groups: dict[tuple[int, ...], int] = {}
-            for j in range(m):
-                pattern = tuple((mk >> j) & 1 for mk in selected)
-                groups[pattern] = groups.get(pattern, 0) + sizes[j]
-            term = 1
-            for size in groups.values():
-                term *= bell_number(size)
-            total += term if bin(chosen).count("1") % 2 else -term
-        return total
+    _check_ground_set(p.n)
+    sizes = [len(b) for b in p.cr2_key()]
     total = 0
-    for rho in _iter_partition_keys(range(m)):
-        parts = len(rho)
-        if parts < 2:
+    for rho in _iter_partition_keys(range(len(sizes))):
+        if len(rho) < 2:
             continue
-        term = math.factorial(parts - 1)
-        if parts % 2:
-            term = -term
+        term = -_moebius_weight(len(rho))
         for c in rho:
             term *= bell_number(sum(sizes[j] for j in c))
         total += term
@@ -565,31 +410,6 @@ def swap_transfer(
 
 
 def csp_twoblock_onevec(mat: IndicatorMatrix) -> list[IndicatorMatrix]:
-    """Two-block algorithm phrased on indicator matrices.
-
-    For every two-block split of the column indexes, the excluded matrices are
-    the column-concatenations of an indicator matrix of each side's combined
-    support; the complement within all indicator matrices of the same order is
-    the complementary family.  Agrees with transporting ``csp_twoblock``
-    through the indicator encoding.
-    """
-    n = mat.n
-    supports = tuple(
-        tuple(t + 1 for t in range(n) if col[t]) for col in mat.columns
-    )
-    if len(supports) == 1:
-        excluded: set[Blocks] = set()
-    else:
-        excluded = _two_block_excluded_keys(supports)
-    keys = [k for k in _iter_partition_keys(range(1, n + 1)) if k not in excluded]
-    keys.sort(key=_key_str)
-    out = []
-    for key in keys:
-        cols = []
-        for b in key:
-            col = [0] * n
-            for e in b:
-                col[e - 1] = 1
-            cols.append(tuple(col))
-        out.append(IndicatorMatrix(n, tuple(sorted(cols, reverse=True))))
-    return out
+    """Two-block algorithm phrased on indicator matrices: the complementary
+    family of the encoded partition, in the same order, each encoded back."""
+    return [to_indicator(q) for q in csp_twoblock(from_indicator(mat)).complementary]

@@ -20,12 +20,20 @@ from .errors import (
     ParseError,
 )
 from .indicator import IndicatorMatrix, labeling_rule, to_dummy_indicator
-from .algebra import cumulants_to_moments, Polynomial
+from .algebra import (
+    Polynomial,
+    Term,
+    _factors_text,
+    _join_signed,
+    _term,
+    cumulants_to_moments,
+)
 from .partitions import (
     MultiIndex,
     MultiIndexPartition,
     _check_multi_index,
     _iter_partition_keys,
+    _moebius_weight,
 )
 
 # ---------------------------------------------------------------------------
@@ -104,22 +112,11 @@ def _npoly_render(p: NPoly) -> tuple[int, str]:
     if len(nonzero) == 1:
         k, c = nonzero[0]
         return sign, frag(c, k)
-    body = frag(nonzero[0][1], nonzero[0][0])
-    for k, c in nonzero[1:]:
-        body += f" {'-' if c < 0 else '+'} {frag(abs(c), k)}"
+    body = _join_signed([(c < 0, frag(abs(c), k)) for k, c in nonzero])
     return sign, f"({body})"
 
 
 # ---------------------------------------------------------------------------
-
-Mono = tuple[tuple[MultiIndex, int], ...]
-
-
-def _mono(labels) -> Mono:
-    counts: dict[MultiIndex, int] = {}
-    for lab, mult in labels:
-        counts[lab] = counts.get(lab, 0) + mult
-    return tuple(sorted(counts.items(), reverse=True))
 
 
 class PowerSumPolynomial:
@@ -133,8 +130,8 @@ class PowerSumPolynomial:
 
     __slots__ = ("arity", "order", "terms")
 
-    def __init__(self, arity: int, order: int, terms: dict[Mono, NPoly]):
-        clean: dict[Mono, NPoly] = {}
+    def __init__(self, arity: int, order: int, terms: dict[Term, NPoly]):
+        clean: dict[Term, NPoly] = {}
         for mono, poly in terms.items():
             poly = _npoly_trim(poly)
             if poly:
@@ -151,7 +148,7 @@ class PowerSumPolynomial:
     def zero(cls, arity: int) -> "PowerSumPolynomial":
         return cls(arity, 0, {})
 
-    def _raised_terms(self, target_order: int) -> dict[Mono, NPoly]:
+    def _raised_terms(self, target_order: int) -> dict[Term, NPoly]:
         """Numerators rewritten over the falling factorial of ``target_order``."""
         factor: NPoly = (1,)
         for j in range(self.order, target_order):
@@ -177,9 +174,9 @@ class PowerSumPolynomial:
 
     def relabel(self, fn, arity: int) -> "PowerSumPolynomial":
         """Apply ``fn`` to every power-sum label, merging collisions."""
-        out: dict[Mono, NPoly] = {}
+        out: dict[Term, NPoly] = {}
         for mono, poly in self.terms.items():
-            new = _mono((tuple(fn(lab)), mult) for lab, mult in mono)
+            new = _term((tuple(fn(lab)), mult) for lab, mult in mono)
             out[new] = _npoly_add(out.get(new, ()), poly)
         return PowerSumPolynomial(arity, self.order, out)
 
@@ -198,20 +195,13 @@ class PowerSumPolynomial:
         bits = []
         for mono in sorted(self.terms, reverse=True):
             sign, coeff = _npoly_render(self.terms[mono])
-            factors = " ".join(
-                f"S[{','.join(str(e) for e in lab)}]" + (f"^{m}" if m > 1 else "")
-                for lab, m in mono
-            )
-            body = factors if coeff == "1" else f"{coeff} {factors}"
-            bits.append(("-" if sign < 0 else "+", body))
-        sign, body = bits[0]
-        num = ("-" if sign == "-" else "") + body
-        for sign, body in bits[1:]:
-            num += f" {sign} {body}"
+            factors = _factors_text(mono, "S")
+            bits.append((sign < 0, factors if coeff == "1" else f"{coeff} {factors}"))
+        num = _join_signed(bits)
         if self.order == 0:
             return num
         den = "N" + "".join(f"(N-{j})" for j in range(1, self.order))
-        if len(bits) > 1 or bits[0][0] == "-":
+        if len(bits) > 1 or bits[0][0]:
             num = f"({num})"
         return f"{num} / {den}"
 
@@ -321,18 +311,16 @@ def distinct_index_expansion(factors) -> PowerSumPolynomial:
         if len(a) != arity:
             raise DimensionError("factors have mixed arities")
     r = len(factors)
-    terms: dict[Mono, NPoly] = {}
+    terms: dict[Term, NPoly] = {}
     for key in _iter_partition_keys(range(r)):
         coeff = 1
         labels = []
         for block in key:
-            size = len(block)
-            w = math.factorial(size - 1)
-            coeff *= -w if (size - 1) % 2 else w
+            coeff *= _moebius_weight(len(block))
             labels.append(
                 (tuple(sum(factors[j][k] for j in block) for k in range(arity)), 1)
             )
-        mono = _mono(labels)
+        mono = _term(labels)
         terms[mono] = _npoly_add(terms.get(mono, ()), (coeff,))
     return PowerSumPolynomial(arity, r, terms)
 

@@ -104,6 +104,16 @@ def from_indicator(mat: IndicatorMatrix) -> SetPartition:
     return SetPartition(mat.n, blocks)
 
 
+def _stacked_rows(a: IndicatorMatrix, b: IndicatorMatrix) -> list[list[int]]:
+    """Rows of the block matrix [A | -B]."""
+    if a.n != b.n:
+        raise DimensionError(f"row counts differ: {a.n} vs {b.n}")
+    return [
+        [col[t] for col in a.columns] + [-col[t] for col in b.columns]
+        for t in range(a.n)
+    ]
+
+
 def span_intersection(a: IndicatorMatrix, b: IndicatorMatrix) -> list[tuple[Fraction, ...]]:
     """Rational basis of the intersection of the two column spans.
 
@@ -111,13 +121,8 @@ def span_intersection(a: IndicatorMatrix, b: IndicatorMatrix) -> list[tuple[Frac
     vector (x, y) satisfies A x = B y, and A x is the intersection vector.
     The basis spans the indicator matrix of the join of the two partitions.
     """
-    if a.n != b.n:
-        raise DimensionError(f"row counts differ: {a.n} vs {b.n}")
-    rows = []
-    for t in range(a.n):
-        rows.append([col[t] for col in a.columns] + [-col[t] for col in b.columns])
     basis = []
-    for v in nullspace_basis(rows):
+    for v in nullspace_basis(_stacked_rows(a, b)):
         x = v[: a.m]
         vec = tuple(
             sum((x[j] for j in range(a.m) if a.columns[j][t]), Fraction(0))
@@ -133,12 +138,7 @@ def is_complementary_indicator(a: IndicatorMatrix, b: IndicatorMatrix) -> bool:
     The intersection dimension equals m_a + m_b - rank[A | -B] because both
     matrices have full column rank, so a rank computation suffices.
     """
-    if a.n != b.n:
-        raise DimensionError(f"row counts differ: {a.n} vs {b.n}")
-    rows = []
-    for t in range(a.n):
-        rows.append([col[t] for col in a.columns] + [-col[t] for col in b.columns])
-    return a.m + b.m - integer_rank(rows) == 1
+    return a.m + b.m - integer_rank(_stacked_rows(a, b)) == 1
 
 
 IntersectionMatrix = tuple[tuple[int, ...], ...]

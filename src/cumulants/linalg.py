@@ -11,26 +11,28 @@ from fractions import Fraction
 
 
 def integer_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by Bareiss elimination (entries stay integral)."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
+    """Rank of an integer matrix by Bareiss elimination (entries stay integral).
+
+    Eliminates in place: ``rows`` is overwritten, so callers pass a fresh matrix.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
     rank = 0
     prev = 1
     for col in range(nc):
         piv = None
         for r in range(rank, nr):
-            if m[r][col]:
+            if rows[r][col]:
                 piv = r
                 break
         if piv is None:
             continue
         if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
         p = pr[col]
         for r in range(rank + 1, nr):
-            row = m[r]
+            row = rows[r]
             f = row[col]
             for c in range(col + 1, nc):
                 row[c] = (p * row[c] - f * pr[c]) // prev

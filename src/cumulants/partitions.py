@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     AlgebraConsistencyError,
@@ -26,6 +26,38 @@ MultiIndex = tuple[int, ...]
 Blocks = tuple[tuple[int, ...], ...]
 
 CANONICAL_FORMS = ("cr1", "cr2")
+
+
+def _text_key() -> Callable[[Blocks], str]:
+    """A function giving the comma text ``1,2|3`` of a block key; on cr2 keys
+    this text orders every listing.  The function memoizes block texts, which
+    repeat across the keys of one sort, so make one per sort."""
+    frag: dict[tuple[int, ...], str] = {}
+
+    def text(key: Blocks) -> str:
+        parts = []
+        for b in key:
+            s = frag.get(b)
+            if s is None:
+                s = frag[b] = ",".join(map(str, b))
+            parts.append(s)
+        return "|".join(parts)
+
+    return text
+
+
+def _check_ground_set(n: int) -> None:
+    """Raise ``BoundsError`` unless 1 <= n <= ``MAX_GROUND_SET``; lattice walks
+    call this before they start, because a walk over [n] visits Bell(n) points."""
+    if not 1 <= n <= MAX_GROUND_SET:
+        raise BoundsError(f"n must be in 1..{MAX_GROUND_SET}, got {n}")
+
+
+def _moebius_weight(k: int) -> int:
+    """(-1)^(k-1) (k-1)!: the Moebius function of the partition lattice between
+    a k-block partition and the one-block partition."""
+    w = math.factorial(k - 1)
+    return -w if k % 2 == 0 else w
 
 
 def _cr2_sort(blocks) -> Blocks:
@@ -134,13 +166,13 @@ class SetPartition:
 
     def sort_key(self) -> str:
         """Deterministic total-order key: the comma-rendered cr2 text."""
-        return "|".join(",".join(str(e) for e in b) for b in self.cr2_key())
+        return _text_key()(self.cr2_key())
 
     def render(self) -> str:
         """Text form; compact digits when n <= 9, comma-separated otherwise."""
         if self.n <= 9:
             return "|".join("".join(str(e) for e in b) for b in self.blocks)
-        return "|".join(",".join(str(e) for e in b) for b in self.blocks)
+        return _text_key()(self.blocks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SetPartition):
@@ -209,21 +241,18 @@ def _iter_partition_keys(elements: Sequence[int]) -> Iterator[Blocks]:
             maxi[t] = maxi[j]
 
 
-def enumerate_partitions(n: int, m: int | None = None, limit: int = MAX_GROUND_SET) -> list[SetPartition]:
+def enumerate_partitions(n: int, m: int | None = None) -> list[SetPartition]:
     """All partitions of [n] (restricted to m blocks when given), in cr2 text order.
 
     The result has Bell(n) entries, or Stirling2(n, m) with the restriction.
     """
-    if not 1 <= n <= limit:
-        raise BoundsError(f"n must be in 1..{limit}, got {n}")
+    _check_ground_set(n)
     if m is not None and not 1 <= m <= n:
         raise BoundsError(f"m must be in 1..{n}, got {m}")
     keys = _iter_partition_keys(range(1, n + 1))
     if m is not None:
         keys = (k for k in keys if len(k) == m)
-    out = [SetPartition._from_key(n, k) for k in keys]
-    out.sort(key=SetPartition.sort_key)
-    return out
+    return [SetPartition._from_key(n, k) for k in sorted(keys, key=_text_key())]
 
 
 def _join_key(n: int, a: Blocks, b: Blocks) -> Blocks:
@@ -265,11 +294,6 @@ def is_complementary(p: SetPartition, q: SetPartition) -> bool:
     if p.n != q.n:
         raise DimensionError(f"ground sets differ: {p.n} vs {q.n}")
     return len(_join_key(p.n, p.blocks, q.blocks)) == 1
-
-
-def canonicalize(p: SetPartition, form: str = "cr2") -> SetPartition:
-    """Rewrite ``p`` in the requested canonical layout."""
-    return p.canonical(form)
 
 
 def block_type(p: SetPartition) -> IntegerPartition:
@@ -427,7 +451,7 @@ def _columns_at_most(remaining: MultiIndex, bound: MultiIndex) -> Iterator[Multi
     yield from rec(0, (), True)
 
 
-def enumerate_multiindex_partitions(i, limit: int = MAX_GROUND_SET) -> list[MultiIndexPartition]:
+def enumerate_multiindex_partitions(i) -> list[MultiIndexPartition]:
     """All multi-index partitions of the target ``i``, in deterministic order.
 
     Columns within each partition are weakly decreasing; partitions are emitted
@@ -438,8 +462,8 @@ def enumerate_multiindex_partitions(i, limit: int = MAX_GROUND_SET) -> list[Mult
     order = sum(i)
     if order == 0:
         raise EmptyTargetError("target multi-index has no nonzero entry")
-    if order > limit:
-        raise BoundsError(f"|i| must be <= {limit}, got {order}")
+    if order > MAX_GROUND_SET:
+        raise BoundsError(f"|i| must be <= {MAX_GROUND_SET}, got {order}")
     out: list[MultiIndexPartition] = []
     acc: list[MultiIndex] = []
 

@@ -1,6 +1,7 @@
 """Benchmark harness plumbing and the command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -136,6 +137,23 @@ def test_cli_usage_errors(capsys):
     assert main([]) == 1
     assert main(["csp"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("types", ["a", "0"])
+def test_cli_bench_bad_types_is_usage_error(capsys, types):
+    assert main(["bench", "--types", types]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["csp", "--partition", "1,2|3,4|5,6|7,8|9,10|11,12|13,14|15,16"],
+    ["gmc", "--lambda", "8,0|0,8"],
+])
+def test_cli_ground_set_bound(capsys, argv):
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_computation_errors(capsys, tmp_path):

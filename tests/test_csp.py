@@ -1,13 +1,12 @@
 """The five complementary-partition algorithms against the join oracle."""
 
-import math
-
 import pytest
 
 from cumulants import (
     ALGORITHM_NAMES,
     CSP_ALGORITHMS,
     AlgebraConsistencyError,
+    BoundsError,
     IncompatibleTypeError,
     SetPartition,
     bell_number,
@@ -17,10 +16,12 @@ from cumulants import (
     csp_twoblock_onevec,
     enumerate_partitions,
     from_indicator,
+    generalized_cumulant_subtractive,
     is_complementary,
     swap_transfer,
     to_indicator,
 )
+from cumulants.partitions import MAX_GROUND_SET
 
 CSP_1_234 = {
     "12|3|4", "13|2|4", "14|2|3", "123|4", "124|3",
@@ -88,6 +89,16 @@ def test_complementarity_is_symmetric():
             assert (q in table[p]) == (p in table[q])
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [*CSP_ALGORITHMS.values(), count_not_complementary, generalized_cumulant_subtractive],
+)
+def test_ground_set_bound(fn):
+    n = MAX_GROUND_SET + 1
+    with pytest.raises(BoundsError):
+        fn(SetPartition(n, [(e,) for e in range(1, n + 1)]))
+
+
 # --- counting --------------------------------------------------------------
 
 
@@ -106,28 +117,13 @@ def test_counting_identity_up_to_n6():
 
 
 def test_count_matches_grouped_formula():
-    """The literal subset inclusion-exclusion equals the evaluation grouped by
-    common coarsenings (partitions of the block indexes, >= 2 parts)."""
-    from cumulants.partitions import _iter_partition_keys
-
+    """The grouped inclusion-exclusion count equals the number of partitions
+    whose join with ``p`` is not the one-block partition."""
     for n in range(2, 7):
-        for p in enumerate_partitions(n):
-            m = p.num_blocks
-            if m < 2:
-                continue
-            sizes = [len(b) for b in p.blocks]
-            total = 0
-            for rho in _iter_partition_keys(range(m)):
-                parts = len(rho)
-                if parts < 2:
-                    continue
-                term = math.factorial(parts - 1)
-                if parts % 2:
-                    term = -term
-                for grp in rho:
-                    term *= bell_number(sum(sizes[j] for j in grp))
-                total += term
-            assert count_not_complementary(p) == total, p.render()
+        every = enumerate_partitions(n)
+        for p in every:
+            expected = sum(not is_complementary(p, q) for q in every)
+            assert count_not_complementary(p) == expected, p.render()
 
 
 # --- relabeling transfer ------------------------------------------------------

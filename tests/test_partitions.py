@@ -15,7 +15,6 @@ from cumulants import (
     SetPartition,
     bell_number,
     block_type,
-    canonicalize,
     enumerate_multiindex_partitions,
     enumerate_partitions,
     is_complementary,
@@ -236,9 +235,9 @@ def test_canonicalize_idempotent_and_preserves_blocks():
     for n in range(1, 7):
         for p in enumerate_partitions(n):
             for form in ("cr1", "cr2"):
-                q = canonicalize(p, form)
+                q = p.canonical(form)
                 assert q.form == form
-                assert canonicalize(q, form).blocks == q.blocks
+                assert q.canonical(form).blocks == q.blocks
                 assert sorted(q.blocks) == sorted(p.blocks)
                 assert q == p
 
