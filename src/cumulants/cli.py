@@ -136,8 +136,9 @@ def _cmd_gmc(args) -> int:
 
 def _cmd_estimate(args) -> int:
     mip = MultiIndexPartition.parse(args.mip)
-    data = load_csv(args.data, has_header=args.header)
+    # built first, so a refused lambda never waits for the data to load
     expr = generalized_multivariate_cumulant_estimator(mip)
+    data = load_csv(args.data, has_header=args.header)
     value = evaluate(expr, data)
     if args.json:
         print(json.dumps({

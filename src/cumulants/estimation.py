@@ -3,18 +3,28 @@
 Estimators are symbolic rational expressions in the sample size N and in power
 sums S_t = sum_l prod_j X_{j,l}^{t_j}.  Coefficients are integer polynomials
 in N over a falling-factorial denominator N(N-1)...(N-r+1), where r is the
-largest number of power-sum factors in any monomial; this canonical form is
-kept exact until a single final float conversion at evaluation time.
+largest number of power-sum factors in any monomial.
+
+Evaluation is exact as well: every finite float is an integer times a power
+of two, so each column is scaled to integers, the power sums are exact
+rationals, and the estimate is the exact rational value of the expression on
+the sample, rounded to a float once at the end.  No digits are lost to
+cancellation, even on data with a large offset.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import partial, reduce
+from itertools import chain, repeat
+from operator import itemgetter, mul
 
 from .errors import (
     AlgebraConsistencyError,
+    BoundsError,
     DimensionError,
     InsufficientSampleError,
     ParseError,
@@ -31,6 +41,7 @@ from .algebra import (
 from .partitions import (
     MultiIndex,
     MultiIndexPartition,
+    _check_ground_set,
     _check_multi_index,
     _iter_partition_keys,
     _moebius_weight,
@@ -217,25 +228,39 @@ class PowerSumPolynomial:
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """N observations (rows) of n real variables (columns)."""
+    """N observations (rows) of n real variables (columns); entries are finite
+    floats (``from_rows`` converts)."""
 
     rows: tuple[tuple[float, ...], ...]
     names: tuple[str, ...] | None = None
+    _shifts: dict[int, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        if not self.rows or not self.rows[0]:
+        rows = self.rows
+        if not rows or not rows[0]:
             raise ValueError("need at least one row and one column")
-        width = len(self.rows[0])
-        for r, row in enumerate(self.rows, start=1):
-            if len(row) != width:
-                raise ValueError(f"row {r} has {len(row)} columns, expected {width}")
-            for c, x in enumerate(row, start=1):
-                if not math.isfinite(x):
-                    raise ValueError(f"non-finite entry at row {r}, column {c}")
+        width = len(rows[0])
+        if set(map(len, rows)) != {width}:
+            r, row = next(
+                (r, row) for r, row in enumerate(rows, start=1) if len(row) != width
+            )
+            raise ValueError(f"row {r} has {len(row)} columns, expected {width}")
+        if not all(map(math.isfinite, chain.from_iterable(rows))):
+            r, c = next(
+                (r, c)
+                for r, row in enumerate(rows, start=1)
+                for c, x in enumerate(row, start=1)
+                if not math.isfinite(x)
+            )
+            raise ValueError(f"non-finite entry at row {r}, column {c}")
+        if self.names is not None and len(self.names) != width:
+            raise ValueError(f"{len(self.names)} names for {width} columns")
 
     @classmethod
     def from_rows(cls, rows, names=None) -> "SampleMatrix":
-        return cls(tuple(tuple(float(x) for x in row) for row in rows),
+        return cls(tuple(tuple(map(float, row)) for row in rows),
                    tuple(names) if names else None)
 
     @property
@@ -246,23 +271,63 @@ class SampleMatrix:
     def num_cols(self) -> int:
         return len(self.rows[0])
 
+    def shift(self, j: int) -> int:
+        """The least k >= 0 such that every entry of column j times 2**k is an
+        integer, computed once per column.  A finite float's denominator is a
+        power of two, so k is the bit length of the largest one, less one."""
+        k = self._shifts.get(j)
+        if k is None:
+            column = map(itemgetter(j), self.rows)
+            denominators = map(itemgetter(1), map(float.as_integer_ratio, column))
+            k = self._shifts[j] = max(denominators).bit_length() - 1
+        return k
+
 
 def load_csv(path, has_header: bool = False) -> SampleMatrix:
-    """Read a rectangular numeric CSV; parse errors carry row/column coordinates."""
+    """Read a rectangular CSV of finite numbers in UTF-8; parse errors carry
+    row/column coordinates.
+
+    Unquoted cells are parsed to floats by the CSV reader itself and the rows
+    are checked in bulk.  A file that fails this (quoted numbers, or any
+    error) is read again cell by cell, which reports where the error is.
+    """
     names = None
-    rows: list[tuple[float, ...]] = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if has_header:
+                header = next(filter(None, csv.reader(fh)), ())
+                names = tuple(cell.strip() for cell in header)
+            records = csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC)
+            rows = tuple(map(tuple, filter(None, records)))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path} is not a valid CSV file: {exc}") from None
+    except ValueError:
+        return _load_csv_cells(path, has_header)
+    if not rows:
+        raise ParseError("no data rows")
+    try:
+        return SampleMatrix(rows, names)
+    except (TypeError, ValueError):
+        return _load_csv_cells(path, has_header)
+
+
+def _load_csv_cells(path, has_header: bool) -> SampleMatrix:
+    """``load_csv`` one cell at a time, raising the ``ParseError`` of the first
+    ragged row, non-numeric cell or non-finite cell."""
+    names = None
     width = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, record in enumerate(reader, start=1):
+    rows: list[tuple[float, ...]] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record:
-                continue
-            if has_header and lineno == 1:
-                names = tuple(cell.strip() for cell in record)
-                width = len(names)
                 continue
             if width is None:
                 width = len(record)
+                if has_header:
+                    names = tuple(cell.strip() for cell in record)
+                    continue
             if len(record) != width:
                 raise ParseError(
                     f"row {lineno} has {len(record)} fields, expected {width}"
@@ -270,28 +335,61 @@ def load_csv(path, has_header: bool = False) -> SampleMatrix:
             vals = []
             for col, cell in enumerate(record, start=1):
                 try:
-                    vals.append(float(cell))
+                    x = float(cell)
                 except ValueError:
                     raise ParseError(
                         f"non-numeric value {cell.strip()!r} at row {lineno}, column {col}"
                     ) from None
+                if not math.isfinite(x):
+                    raise ParseError(
+                        f"non-finite value {cell.strip()!r} at row {lineno}, column {col}"
+                    )
+                vals.append(x)
             rows.append(tuple(vals))
     if not rows:
         raise ParseError("no data rows")
     return SampleMatrix(tuple(rows), names)
 
 
-def power_sum(data: SampleMatrix, t) -> float:
-    """S_t = sum over rows of the product of entries raised to t, with 0^0 = 1."""
+def power_sum(data: SampleMatrix, t) -> Fraction:
+    """S_t = sum over rows of the product of entries raised to t, with 0^0 = 1.
+
+    The sum is exact: each active column j is streamed as the integers
+    x * 2**k_j (``SampleMatrix.shift``), their powers and products are summed
+    as integers, and the total is divided by 2**(sum_j k_j t_j).
+    """
     t = _check_multi_index(t)
     if len(t) != data.num_cols:
         raise DimensionError(f"label arity {len(t)} != {data.num_cols} columns")
-    active = [(j, e) for j, e in enumerate(t) if e]
+    active = [(j, e, data.shift(j)) for j, e in enumerate(t) if e]
     if not active:
-        return float(data.num_rows)
-    return math.fsum(
-        math.prod(row[j] ** e for j, e in active) for row in data.rows
-    )
+        return Fraction(data.num_rows)
+    try:
+        total = _integer_power_sum(data.rows, active, _ldexp_ints)
+    except OverflowError:  # some scaled entry is beyond the float range
+        total = _integer_power_sum(data.rows, active, _ratio_ints)
+    return Fraction(total, 1 << sum(k * e for _, e, k in active))
+
+
+def _integer_power_sum(rows, active, to_ints) -> int:
+    """Sum over rows of prod_j (x_j * 2**k_j)**e_j, streamed column by column
+    through C-level ``map`` stages, so no column is held in a list."""
+    streams = []
+    for j, e, k in active:
+        ints = to_ints(map(itemgetter(j), rows), k)
+        streams.append(ints if e == 1 else map(pow, ints, repeat(e)))
+    return sum(reduce(partial(map, mul), streams))
+
+
+def _ldexp_ints(column, k: int):
+    return map(int, map(math.ldexp, column, repeat(k)))
+
+
+def _ratio_ints(column, k: int):
+    """The integers of ``_ldexp_ints``, built from each entry's exact ratio
+    n / d, so they may exceed the float range."""
+    ratios = map(float.as_integer_ratio, column)
+    return (n << (k + 1 - d.bit_length()) for n, d in ratios)
 
 
 def distinct_index_expansion(factors) -> PowerSumPolynomial:
@@ -333,6 +431,7 @@ def polykay(mip: MultiIndexPartition) -> PowerSumPolynomial:
     distinct-index estimator; collecting gives the unique symmetric unbiased
     estimator in power sums.
     """
+    _check_ground_set(sum(mip.target))
     arity = mip.arity
     mp = Polynomial.one(arity, "mu")
     for col, rep in zip(mip.columns, mip.multiplicities):
@@ -354,6 +453,7 @@ def generalized_cumulant_estimator(mat: IndicatorMatrix) -> PowerSumPolynomial:
     power-sum label is pushed back through the columns (label entries are
     binary, so the pushed labels stay binary).
     """
+    _check_ground_set(mat.n)
     m = mat.m
     joint = MultiIndexPartition(((1,) * m,), (1,))
     est = polykay(joint)
@@ -375,6 +475,7 @@ def generalized_multivariate_cumulant_estimator(
     generalized-cumulant estimator is built there, and the dummy power-sum
     labels are aggregated back onto the original variables.
     """
+    _check_ground_set(sum(mip.target))
     mat = to_dummy_indicator(mip)
     est = generalized_cumulant_estimator(mat)
     bounds = labeling_rule(mip.target).bounds()
@@ -390,8 +491,8 @@ def generalized_multivariate_cumulant_estimator(
 
 
 def evaluate(expr: PowerSumPolynomial, data: SampleMatrix) -> float:
-    """Evaluate on a sample: exact integer coefficient arithmetic, power sums in
-    compensated floating point, one final division."""
+    """Evaluate on a sample: the exact rational value of the expression, from
+    exact power sums and integer coefficients, rounded to a float once."""
     if expr.arity != data.num_cols:
         raise DimensionError(
             f"expression arity {expr.arity} != {data.num_cols} data columns"
@@ -404,19 +505,22 @@ def evaluate(expr: PowerSumPolynomial, data: SampleMatrix) -> float:
     den = 1
     for j in range(expr.order):
         den *= n_obs - j
-    cache: dict[MultiIndex, float] = {}
+    cache: dict[MultiIndex, Fraction] = {}
 
-    def ps(label: MultiIndex) -> float:
+    def ps(label: MultiIndex) -> Fraction:
         got = cache.get(label)
         if got is None:
             got = power_sum(data, label)
             cache[label] = got
         return got
 
-    pieces = []
+    total = Fraction(0)
     for mono, poly in expr.terms.items():
-        val = 1.0
+        val = Fraction(_npoly_eval(poly, n_obs))
         for lab, mult in mono:
             val *= ps(lab) ** mult
-        pieces.append(_npoly_eval(poly, n_obs) * val)
-    return math.fsum(pieces) / den
+        total += val
+    try:
+        return float(total / den)
+    except OverflowError:
+        raise BoundsError("the estimate is outside the float range") from None

@@ -156,6 +156,29 @@ def test_cli_ground_set_bound(capsys, argv):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cli_estimate_size_bound_before_loading(capsys, tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("".join(f"{r},{r % 7}\n" for r in range(20)))
+    t0 = time.perf_counter()
+    assert main(["estimate", "--data", str(path), "--lambda", "|".join(["1,1"] * 8)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "got 16" in err
+
+
+@pytest.mark.parametrize("content", [
+    b"1,2\n3,nan\n",
+    b"1,2\ninf,4\n",
+    b"\xff\xfe1,2\n",
+    b"1,2\n3," + b"9" * 200_000 + b"\n",  # longer than the csv field limit
+], ids=["nan", "inf", "not-utf8", "oversized-field"])
+def test_cli_estimate_bad_data_is_parse_error(capsys, tmp_path, content):
+    path = tmp_path / "d.csv"
+    path.write_bytes(content)
+    assert main(["estimate", "--data", str(path), "--lambda", "1,0|0,1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_computation_errors(capsys, tmp_path):
     assert main(["csp", "--partition", "1|1"]) == 2
     assert "error" in capsys.readouterr().err

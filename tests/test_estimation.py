@@ -2,11 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from cumulants import (
+    BoundsError,
     DimensionError,
     InsufficientSampleError,
     MultiIndexPartition,
@@ -91,6 +93,23 @@ def test_power_sum_examples():
     assert power_sum(DATA_2X2, (1, 0)) == 4.0
     assert power_sum(DATA_2X2, (1, 2)) == 52.0
     assert power_sum(DATA_2X2, (0, 0)) == 2.0
+
+
+def test_power_sum_is_exact_on_decimal_values():
+    values = [0.1, 0.2, 0.3, -0.7, 1e-3]
+    data = SampleMatrix.from_rows([[x, 1.0 - x] for x in values])
+    for t in [(1, 0), (2, 0), (3, 1), (0, 4)]:
+        want = sum(Fraction(x) ** t[0] * Fraction(1.0 - x) ** t[1] for x in values)
+        assert power_sum(data, t) == want, t
+
+
+def test_power_sum_wide_range_column_stays_exact():
+    # scaling 1e300 by the 2**1074 that 5e-324 needs overflows a float
+    rows = [[5e-324, 2.0], [1e300, -0.5], [-3.25, 1e-10]]
+    data = SampleMatrix.from_rows(rows)
+    for t in [(1, 0), (2, 0), (3, 0), (1, 1), (2, 3)]:
+        want = sum(Fraction(a) ** t[0] * Fraction(b) ** t[1] for a, b in rows)
+        assert power_sum(data, t) == want, t
 
 
 def test_power_sum_arity_mismatch():
@@ -359,6 +378,43 @@ def test_evaluate_sample_mean():
     assert evaluate(expr, single) == pytest.approx(4.0)
 
 
+def _centred_k_statistics(xs):
+    """k2 and k3 of a sample from central sums, in exact rationals."""
+    xs = [Fraction(x) for x in xs]
+    n = len(xs)
+    mean = sum(xs) / n
+    m2 = sum((x - mean) ** 2 for x in xs)
+    m3 = sum((x - mean) ** 3 for x in xs)
+    return m2 / (n - 1), n * m3 / ((n - 1) * (n - 2))
+
+
+def test_evaluate_is_exact_on_offset_data():
+    rng = random.Random(20240805)
+    xs = [1e8 + round(rng.gammavariate(2.0, 1.0) * 1024) / 1024 for _ in range(1000)]
+    data = SampleMatrix.from_rows([[x] for x in xs])
+    k2, k3 = _centred_k_statistics(xs)
+    for text, want in (("1^2", k2), ("1^3", k3)):
+        est = generalized_multivariate_cumulant_estimator(MultiIndexPartition.parse(text))
+        assert evaluate(est, data) == float(want), text
+
+
+def test_evaluate_outside_float_range():
+    data = SampleMatrix.from_rows([[1e300], [-1e300], [0.0]])
+    with pytest.raises(BoundsError):
+        evaluate(polykay(MultiIndexPartition.parse("2")), data)
+
+
+def test_estimator_builders_enforce_ground_set_bound():
+    mip = MultiIndexPartition.parse("1,1^7")  # |i| = 14 dummy elements
+    with pytest.raises(BoundsError):
+        polykay(mip)
+    with pytest.raises(BoundsError):
+        generalized_multivariate_cumulant_estimator(mip)
+    with pytest.raises(BoundsError):
+        generalized_cumulant_estimator(to_indicator(SetPartition.parse(
+            "1,2|3,4|5,6|7,8|9,10|11,12|13")))
+
+
 def test_evaluate_insufficient_sample():
     expr = polykay(MultiIndexPartition.parse("1,1,0|0,0,1"))
     data = SampleMatrix.from_rows([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -415,6 +471,30 @@ def test_load_csv_non_numeric(tmp_path):
     assert "row 2" in str(err.value) and "column 2" in str(err.value)
 
 
+@pytest.mark.parametrize("bad, where", [
+    ("3,oops", "row 5000, column 2"),
+    ("nan,4", "row 5000, column 1"),
+    ("3,-inf", "row 5000, column 2"),
+    ("3", "row 5000 has 1 fields"),
+])
+def test_load_csv_locates_late_errors(tmp_path, bad, where):
+    path = tmp_path / "d.csv"
+    lines = [f"{r}.5,{r}" for r in range(1, 10_001)]
+    lines[4999] = bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_csv(path)
+    assert where in str(err.value)
+
+
+def test_load_csv_quoted_numbers(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text('"x1","x2"\n"1","2.5"\n3,4\n')
+    data = load_csv(path, has_header=True)
+    assert data.names == ("x1", "x2")
+    assert data.rows == ((1.0, 2.5), (3.0, 4.0))
+
+
 def test_load_csv_empty(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("")
@@ -429,6 +509,8 @@ def test_sample_matrix_validation():
         SampleMatrix.from_rows([[float("nan"), 1.0]])
     with pytest.raises(ValueError):
         SampleMatrix.from_rows([])
+    with pytest.raises(ValueError):
+        SampleMatrix.from_rows([[1.0, 2.0]], names=["x1"])
 
 
 # --- seeded simulation smoke (the full run lives in the acceptance suite) ------------------
