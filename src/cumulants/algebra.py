@@ -28,6 +28,7 @@ from .partitions import (
     SetPartition,
     _check_ground_set,
     _check_multi_index,
+    _column_groupings,
     _iter_partition_keys,
     _moebius_weight,
     enumerate_multiindex_partitions,
@@ -95,13 +96,6 @@ class Polynomial:
         mi = tuple(mi)
         return cls(len(mi), {_term([(mi, 1)]): 1}, symbol)
 
-    @classmethod
-    def from_multi_index_partition(
-        cls, mip: MultiIndexPartition, symbol: str = "kappa", coeff: int = 1
-    ) -> "Polynomial":
-        key = tuple(zip(mip.columns, mip.multiplicities))
-        return cls(mip.arity, {key: coeff}, symbol)
-
     def _check_compatible(self, other: "Polynomial"):
         if self.arity != other.arity:
             raise DimensionError(f"arities differ: {self.arity} vs {other.arity}")
@@ -144,13 +138,14 @@ class Polynomial:
     def substitute(self, fn, symbol: str) -> "Polynomial":
         """Replace every factor by ``fn(multi_index)`` (a polynomial in the new
         symbol), expand and collect."""
-        out = Polynomial.zero(self.arity, symbol)
+        out: dict[Term, int] = {}
         for key, coeff in self.terms.items():
             term_poly = Polynomial.one(self.arity, symbol)
             for mi, mult in key:
                 term_poly = term_poly * (fn(mi) ** mult)
-            out = out + term_poly.scale(coeff)
-        return out
+            for k, c in term_poly.terms.items():
+                out[k] = out.get(k, 0) + coeff * c
+        return Polynomial(self.arity, out, symbol)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -298,27 +293,18 @@ def generalized_multivariate_cumulant_subtractive(mip: MultiIndexPartition) -> P
 
     The non-complementary side is an inclusion-exclusion over the two-block
     splits of the expanded columns.  Subsets of splits with the same common
-    coarsening contribute identical products, so the sum is grouped by that
-    coarsening: partitions of the column indexes with at least two parts,
-    weighted by (-1)^parts (parts-1)!, each part contributing the moment
-    expansion of its summed columns.
+    coarsening contribute identical products, so both sides are one sum over
+    the groupings of the columns (the one-part grouping is the full
+    expansion), weighted by (-1)^(parts-1) (parts-1)! and by the number of
+    column partitions the grouping stands for.  The sum is collected in the
+    moments of the merged columns, then each moment is expanded in cumulants.
     """
-    cols = mip.expanded()
-    length = len(cols)
-    arity = mip.arity
-    full = moments_to_cumulants(mip.target)
-    if length == 1:
-        return full
-    t_sum = Polynomial.zero(arity, "kappa")
-    for rho in _iter_partition_keys(range(length)):
-        if len(rho) < 2:
-            continue
-        prod_poly = Polynomial.one(arity, "kappa")
-        for group in rho:
-            merged = tuple(sum(cols[q][k] for q in group) for k in range(arity))
-            prod_poly = prod_poly * moments_to_cumulants(merged)
-        t_sum = t_sum + prod_poly.scale(-_moebius_weight(len(rho)))
-    return full - t_sum
+    _check_ground_set(sum(mip.target))
+    moments: dict[Term, int] = {}
+    for merged, parts, count in _column_groupings(mip.columns, mip.multiplicities):
+        key = _term((col, rep) for col, rep, _ in merged)
+        moments[key] = moments.get(key, 0) + _moebius_weight(parts) * count
+    return Polynomial(mip.arity, moments, "mu").substitute(moments_to_cumulants, "kappa")
 
 
 def _refinement_keys(blocks: Blocks):

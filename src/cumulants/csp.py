@@ -26,8 +26,10 @@ from .indicator import IndicatorMatrix, from_indicator, to_indicator
 from .linalg import integer_rank
 from .partitions import (
     Blocks,
+    MultiIndexPartition,
     SetPartition,
     _check_ground_set,
+    _column_groupings,
     _iter_partition_keys,
     _moebius_weight,
     _text_key,
@@ -369,21 +371,21 @@ def count_not_complementary(p: SetPartition) -> int:
     Each split contributes the partitions refining its two-set coarsening, and
     an intersection of splits contributes the partitions refining the common
     coarsening, whose count is a product of Bell numbers.  Grouping the subsets
-    of splits by their common coarsening turns the sum into one over the set
-    partitions of the block indexes with at least two parts, weighted by
-    (-1)^parts * (parts-1)!.
+    of splits by their common coarsening turns the sum into one over the
+    groupings of the blocks into at least two parts, weighted by
+    (-1)^parts * (parts-1)!.  Blocks of equal size give equal terms, so the
+    sum runs over groupings of the block sizes as a multiset; the one-part
+    grouping counts all Bell(n) partitions.
     """
     _check_ground_set(p.n)
-    sizes = [len(b) for b in p.cr2_key()]
+    sizes = MultiIndexPartition.from_columns((len(b),) for b in p.blocks)
     total = 0
-    for rho in _iter_partition_keys(range(len(sizes))):
-        if len(rho) < 2:
-            continue
-        term = -_moebius_weight(len(rho))
-        for c in rho:
-            term *= bell_number(sum(sizes[j] for j in c))
+    for merged, parts, count in _column_groupings(sizes.columns, sizes.multiplicities):
+        term = _moebius_weight(parts) * count
+        for (size,), rep, _ in merged:
+            term *= bell_number(size) ** rep
         total += term
-    return total
+    return bell_number(p.n) - total
 
 
 def swap_transfer(

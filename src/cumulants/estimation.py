@@ -18,7 +18,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import chain, repeat
 from operator import itemgetter, mul
 
@@ -29,7 +29,7 @@ from .errors import (
     InsufficientSampleError,
     ParseError,
 )
-from .indicator import IndicatorMatrix, labeling_rule, to_dummy_indicator
+from .indicator import IndicatorMatrix
 from .algebra import (
     Polynomial,
     Term,
@@ -43,6 +43,7 @@ from .partitions import (
     MultiIndexPartition,
     _check_ground_set,
     _check_multi_index,
+    _column_groupings,
     _iter_partition_keys,
     _moebius_weight,
 )
@@ -182,14 +183,6 @@ class PowerSumPolynomial:
         return PowerSumPolynomial(
             self.arity, self.order, {m: _npoly_scale(p, k) for m, p in self.terms.items()}
         )
-
-    def relabel(self, fn, arity: int) -> "PowerSumPolynomial":
-        """Apply ``fn`` to every power-sum label, merging collisions."""
-        out: dict[Term, NPoly] = {}
-        for mono, poly in self.terms.items():
-            new = _term((tuple(fn(lab)), mult) for lab, mult in mono)
-            out[new] = _npoly_add(out.get(new, ()), poly)
-        return PowerSumPolynomial(arity, self.order, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSumPolynomial):
@@ -446,24 +439,30 @@ def polykay(mip: MultiIndexPartition) -> PowerSumPolynomial:
 
 
 def generalized_cumulant_estimator(mat: IndicatorMatrix) -> PowerSumPolynomial:
-    """Unbiased estimator of the generalized cumulant encoded by ``mat``.
+    """Unbiased estimator of the generalized cumulant encoded by ``mat``: the
+    multivariate one whose columns are the block indicators."""
+    return generalized_multivariate_cumulant_estimator(
+        MultiIndexPartition.from_columns(mat.columns)
+    )
 
-    The blockwise products are treated as one dummy variable per column, the
-    joint-cumulant estimator over those m variables is built, and every
-    power-sum label is pushed back through the columns (label entries are
-    binary, so the pushed labels stay binary).
-    """
-    _check_ground_set(mat.n)
-    m = mat.m
-    joint = MultiIndexPartition(((1,) * m,), (1,))
-    est = polykay(joint)
 
-    def push(label):
-        return tuple(
-            sum(label[j] * mat.columns[j][t] for j in range(m)) for t in range(mat.n)
-        )
-
-    return est.relabel(push, mat.n)
+@lru_cache(maxsize=None)
+def _k_statistic_coefficient(sizes: tuple[int, ...]) -> NPoly:
+    """Numerator over N(N-1)...(N-m+1), m = sum(sizes), of the power-sum
+    monomial whose factors merge ``sizes`` columns each: the sum over b of
+    prod_j S(d_j, b_j) mu(b_j) * mu(B) / N(N-1)...(N-B+1), with B = sum_j b_j.
+    The groupings of d columns into b parts give the row S(d, b) mu(b)."""
+    by_parts: NPoly = (1,)
+    for d in sizes:
+        row = [0] * (d + 1)
+        for _, parts, count in _column_groupings(((1,),), (d,)):
+            row[parts] += count * _moebius_weight(parts)
+        by_parts = _npoly_mul(by_parts, row)
+    out: NPoly = ()
+    for parts in range(1, len(by_parts)):  # Horner's rule in the (N - parts + 1)
+        out = _npoly_mul(out, (1 - parts, 1))
+        out = _npoly_add(out, (by_parts[parts] * _moebius_weight(parts),))
+    return out
 
 
 def generalized_multivariate_cumulant_estimator(
@@ -471,23 +470,20 @@ def generalized_multivariate_cumulant_estimator(
 ) -> PowerSumPolynomial:
     """Unbiased estimator of a generalized multivariate cumulant.
 
-    The multi-index partition is expanded over distinct dummy variables, the
-    generalized-cumulant estimator is built there, and the dummy power-sum
-    labels are aggregated back onto the original variables.
+    This is the joint k-statistic of the columns, each read as one variable
+    (McCullagh, *Tensor Methods in Statistics*, ch. 4): the sum over the
+    groupings of the columns of the power-sum monomial of the merged columns,
+    weighted by the number of column partitions the grouping stands for and by
+    a coefficient that depends only on the block sizes.
     """
     _check_ground_set(sum(mip.target))
-    mat = to_dummy_indicator(mip)
-    est = generalized_cumulant_estimator(mat)
-    bounds = labeling_rule(mip.target).bounds()
-    arity = mip.arity
-
-    def collapse(label):
-        return tuple(
-            sum(label[t] for t in range(bounds[k], bounds[k + 1]))
-            for k in range(arity)
-        )
-
-    return est.relabel(collapse, arity)
+    terms: dict[Term, NPoly] = {}
+    for merged, _, count in _column_groupings(mip.columns, mip.multiplicities):
+        mono = _term((col, rep) for col, rep, _ in merged)
+        sizes = tuple(sorted(d for _, rep, d in merged for _ in range(rep)))
+        coeff = _npoly_scale(_k_statistic_coefficient(sizes), count)
+        terms[mono] = _npoly_add(terms.get(mono, ()), coeff)
+    return PowerSumPolynomial(mip.arity, mip.length, terms)
 
 
 def evaluate(expr: PowerSumPolynomial, data: SampleMatrix) -> float:

@@ -125,9 +125,12 @@ class SetPartition:
         A comma anywhere selects comma form for the whole string, so
         single-element blocks of two-digit elements stay unambiguous; the
         compact form is only usable while every element is a single digit.
+        Text without commas whose compact reading would need more than 9
+        elements, such as the rendered singletons ``1|2|...|10``, is read in
+        comma form too.
         """
-        comma_form = "," in text
         tokens = [t.strip() for t in text.strip().split("|")]
+        comma_form = "," in text or sum(map(len, tokens)) > 9
         blocks: list[tuple[int, ...]] = []
         for tok in tokens:
             if not tok:
@@ -319,11 +322,6 @@ def bell_number(n: int) -> int:
     return _BELL_CACHE[n]
 
 
-def multi_index_order(i: MultiIndex) -> int:
-    """Sum of the entries."""
-    return sum(i)
-
-
 def multi_index_factorial(i: MultiIndex) -> int:
     """Product of the entrywise factorials."""
     out = 1
@@ -495,3 +493,21 @@ def subdivision_coefficient(mip: MultiIndexPartition) -> int:
     if rem:
         raise AlgebraConsistencyError(f"non-integer coefficient for {mip}")
     return q
+
+
+def _column_groupings(columns, multiplicities):
+    """Every grouping of a column multiset into blocks, as (merged, blocks, count).
+
+    ``columns[k]`` appears ``multiplicities[k]`` times.  A grouping is a
+    multi-index partition of the multiplicities; it stands for ``count`` (its
+    subdivision coefficient) set partitions of the written-out columns, all
+    with the same merged blocks.  ``merged`` lists each distinct block as
+    (summed column, repeat, number of columns in the block).
+    """
+    for g in enumerate_multiindex_partitions(multiplicities):
+        merged = [
+            (tuple(sum(b * e for b, e in zip(beta, row)) for row in zip(*columns)),
+             rep, sum(beta))
+            for beta, rep in zip(g.columns, g.multiplicities)
+        ]
+        yield merged, g.length, subdivision_coefficient(g)

@@ -1,5 +1,6 @@
 """Moment/cumulant conversions, generalized cumulants and the sign identities."""
 
+import time
 from itertools import product
 
 import pytest
@@ -177,6 +178,16 @@ def test_gmc_two_paths_agree():
             direct = generalized_multivariate_cumulant(mip)
             subtractive = generalized_multivariate_cumulant_subtractive(mip)
             assert direct == subtractive, mip
+
+
+def test_gmc_subtractive_many_equal_columns_is_bounded():
+    t0 = time.perf_counter()
+    poly = generalized_multivariate_cumulant_subtractive(MultiIndexPartition.parse("3,3|3,3"))
+    assert time.perf_counter() - t0 < 5.0
+    assert len(poly) == 1042
+    # coefficients count the partitions of [12] complementary to the dummy
+    # partition of two 6-blocks: Bell(12) - Bell(6)^2 = 4213597 - 203^2
+    assert sum(poly.terms.values()) == 4172388
 
 
 def test_gmc_coefficient_bounds_and_sum_rule():

@@ -88,6 +88,14 @@ def test_cli_gmc_text_and_json(capsys):
     }
 
 
+def test_cli_gmc_many_distinct_columns_is_bounded(capsys):
+    unit = "|".join(",".join("1" if j == k else "0" for j in range(9)) for k in range(9))
+    t0 = time.perf_counter()
+    assert main(["gmc", "--lambda", unit]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    assert capsys.readouterr().out.strip() == "κ[1,1,1,1,1,1,1,1,1]"
+
+
 def test_cli_partitions(capsys):
     assert main(["partitions", "--n", "3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,5 +1,7 @@
 """The five complementary-partition algorithms against the join oracle."""
 
+import time
+
 import pytest
 
 from cumulants import (
@@ -124,6 +126,15 @@ def test_count_matches_grouped_formula():
         for p in every:
             expected = sum(not is_complementary(p, q) for q in every)
             assert count_not_complementary(p) == expected, p.render()
+
+
+def test_count_on_twelve_singletons_is_bounded():
+    # every partition of [12] but the one-block one is not complementary to
+    # the singletons; twelve equal blocks make 77 groupings, not Bell(12)
+    p = SetPartition(12, [(e,) for e in range(1, 13)])
+    t0 = time.perf_counter()
+    assert count_not_complementary(p) == bell_number(12) - 1
+    assert time.perf_counter() - t0 < 1.0
 
 
 # --- relabeling transfer ------------------------------------------------------

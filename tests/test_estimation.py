@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -325,11 +325,17 @@ def test_estimator_gmc_repeated_variable_labels():
 
 
 def test_estimator_gmc_matches_weighted_polykay_sum():
-    """The dummy-variable shortcut equals replacing every cumulant product in
-    the symbolic expansion by its polykay, for small targets."""
+    """The closed-form builder equals replacing every cumulant product in the
+    dummy-variable expansion by its polykay, on every multi-index partition
+    with |i| <= 6 and at most three variables."""
     from cumulants import enumerate_multiindex_partitions
 
-    targets = [(2,), (1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2), (4,)]
+    targets = [
+        i
+        for arity in range(1, 4)
+        for i in product(range(7), repeat=arity)
+        if 1 <= sum(i) <= 6
+    ]
     cache = {}
 
     def pk(mip):
@@ -348,6 +354,14 @@ def test_estimator_gmc_matches_weighted_polykay_sum():
                 )
                 total = total + pk(grouped).scale(coeff)
             assert est == total, mip
+
+
+def test_estimator_of_ones_is_the_k_statistic():
+    """1^m is the joint cumulant of m copies of one variable, so its
+    estimator is Fisher's k-statistic k_m, the polykay of the single column m."""
+    for m in range(1, 8):
+        got = generalized_multivariate_cumulant_estimator(MultiIndexPartition.parse(f"1^{m}"))
+        assert got == polykay(MultiIndexPartition.parse(str(m))), m
 
 
 def test_estimator_gmc_degree_bookkeeping():

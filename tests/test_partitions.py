@@ -286,6 +286,15 @@ def test_render_uses_commas_beyond_nine():
     assert SetPartition.parse(p.render()) == p
 
 
+def test_render_round_trip_of_ten_or_more_singletons():
+    # the rendered text has no comma, and its compact reading needs more
+    # than nine elements
+    for n in range(10, 13):
+        p = SetPartition(n, [(e,) for e in range(1, n + 1)])
+        assert p.render() == "|".join(map(str, range(1, n + 1)))
+        assert SetPartition.parse(p.render()) == p
+
+
 @pytest.mark.parametrize("bad", ["", "1|", "1|1", "1|3", "a|b", "1,x|2", "12|3|"])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
