@@ -9,6 +9,7 @@ floating point in this module.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from itertools import product
 
@@ -26,6 +27,7 @@ from .partitions import (
     MultiIndex,
     MultiIndexPartition,
     SetPartition,
+    _Memo,
     _check_ground_set,
     _check_multi_index,
     _column_groupings,
@@ -48,12 +50,12 @@ def _term(factors) -> Term:
     return tuple(sorted(counts.items(), reverse=True))
 
 
-def _factors_text(key: Term, sym: str) -> str:
-    """``κ[1,0]^2 κ[0,1]``: each factor's symbol, index and power above one."""
-    return " ".join(
-        f"{sym}[{','.join(map(str, mi))}]" + (f"^{mult}" if mult > 1 else "")
-        for mi, mult in key
-    )
+def _factors_text(sym: str):
+    """A function giving ``κ[1,0]^2 κ[0,1]`` for a factor key: each factor's
+    symbol, index and power above one.  It memoizes factor texts, so make one
+    per rendering."""
+    frag = _Memo(lambda f: f"{sym}[{','.join(map(str, f[0]))}]" + (f"^{f[1]}" if f[1] > 1 else ""))
+    return lambda key: " ".join(map(frag.__getitem__, key))
 
 
 def _join_signed(bits) -> str:
@@ -74,14 +76,9 @@ class Polynomial:
     def __init__(self, arity: int, terms: dict[Term, int] | None = None, symbol: str = "kappa"):
         if symbol not in _SYMBOL_CHARS:
             raise ValueError(f"unknown symbol {symbol!r}")
-        clean: dict[Term, int] = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    clean[key] = c
         self.arity = arity
         self.symbol = symbol
-        self.terms = clean
+        self.terms = {key: c for key, c in terms.items() if c} if terms else {}
 
     @classmethod
     def zero(cls, arity: int, symbol: str = "kappa") -> "Polynomial":
@@ -162,10 +159,11 @@ class Polynomial:
     def pretty(self) -> str:
         if not self.terms:
             return "0"
+        factors_text = _factors_text(_SYMBOL_CHARS[self.symbol])
         bits = []
         for key in sorted(self.terms, reverse=True):
             c = self.terms[key]
-            factors = _factors_text(key, _SYMBOL_CHARS[self.symbol])
+            factors = factors_text(key)
             mag = abs(c)
             if not factors:
                 body = str(mag)
@@ -176,14 +174,18 @@ class Polynomial:
             bits.append((c < 0, body))
         return _join_signed(bits)
 
-    def json_terms(self) -> list[dict]:
-        out = []
-        for key in sorted(self.terms, reverse=True):
-            factors = []
-            for mi, mult in key:
-                factors.extend([list(mi)] * mult)
-            out.append({"coeff": self.terms[key], "factors": factors})
-        return out
+    def to_json(self) -> str:
+        """``{"terms": [{"coeff": c, "factors": [[1, 0], ...]}, ...]}``, terms in
+        decreasing key order, each factor written out as often as its power.
+        The text equals ``json.dumps`` of that structure; each factor's
+        fragment is dumped once."""
+        frag = _Memo(lambda f: ", ".join([json.dumps(list(f[0]))] * f[1]))
+        terms = self.terms
+        items = [
+            f'{{"coeff": {terms[key]}, "factors": [{", ".join(map(frag.__getitem__, key))}]}}'
+            for key in sorted(terms, reverse=True)
+        ]
+        return f'{{"terms": [{", ".join(items)}]}}'
 
     def __str__(self) -> str:
         return self.pretty()
@@ -199,8 +201,13 @@ def _indicator_multi_index(block: tuple[int, ...], n: int) -> MultiIndex:
     return tuple(col)
 
 
-def _partition_key_term(key: Blocks, n: int) -> Term:
-    return _term([(_indicator_multi_index(b, n), 1) for b in key])
+def _partition_key_term(n: int):
+    """A function giving the factor key of a cr2 block key over [n]: one
+    (indicator, 1) factor per block.  cr2 order is decreasing indicator order,
+    so the factors need no sort.  Blocks repeat across a listing's keys, so
+    the function memoizes their factors; make one per listing."""
+    factor = _Memo(lambda b: (_indicator_multi_index(b, n), 1))
+    return lambda key: tuple(map(factor.__getitem__, key))
 
 
 @lru_cache(maxsize=None)
@@ -242,11 +249,8 @@ def generalized_cumulant(p: SetPartition, algorithm: str = "twoblock") -> Polyno
     differential testing.
     """
     result = CSP_ALGORITHMS[algorithm](p)
-    n = p.n
-    terms: dict[Term, int] = {}
-    for q in result.complementary:
-        terms[_partition_key_term(q.blocks, n)] = 1
-    return Polynomial(n, terms, "kappa")
+    term = _partition_key_term(p.n)
+    return Polynomial(p.n, dict.fromkeys((term(q.blocks) for q in result.complementary), 1))
 
 
 def generalized_cumulant_subtractive(p: SetPartition) -> Polynomial:
@@ -254,16 +258,11 @@ def generalized_cumulant_subtractive(p: SetPartition) -> Polynomial:
     whole partition lattice minus the sum over the non-complementary family."""
     n = p.n
     _check_ground_set(n)
-    full: dict[Term, int] = {}
-    for key in _iter_partition_keys(range(1, n + 1)):
-        full[_partition_key_term(key, n)] = 1
-    poly = Polynomial(n, full, "kappa")
+    term = _partition_key_term(n)
+    poly = Polynomial(n, dict.fromkeys(map(term, _iter_partition_keys(range(1, n + 1))), 1))
     blocks = p.cr2_key()
     if len(blocks) > 1:
-        t_terms: dict[Term, int] = {}
-        for key in _two_block_excluded_keys(blocks):
-            t_terms[_partition_key_term(key, n)] = 1
-        poly = poly - Polynomial(n, t_terms, "kappa")
+        poly = poly - Polynomial(n, dict.fromkeys(map(term, _two_block_excluded_keys(blocks)), 1))
     return poly
 
 
@@ -335,21 +334,20 @@ def generalized_cumulant_in_moments(mat: IndicatorMatrix) -> Polynomial:
     (-1)^(blocks-1) (blocks-1)!.  Substituting the cumulant expansion of each
     moment factor and collecting reproduces ``generalized_cumulant``.
     """
-    n = mat.n
-    terms: dict[Term, int] = {}
-    for key in _coarsening_keys(from_indicator(mat).blocks):
-        terms[_partition_key_term(key, n)] = _moebius_weight(len(key))
-    return Polynomial(n, terms, "mu")
+    term = _partition_key_term(mat.n)
+    terms = {
+        term(key): _moebius_weight(len(key))
+        for key in _coarsening_keys(from_indicator(mat).blocks)
+    }
+    return Polynomial(mat.n, terms, "mu")
 
 
 def moment_product_expansion(mat: IndicatorMatrix) -> Polynomial:
     """Product of the blockwise joint moments written in cumulants: one term of
     coefficient 1 per partition refining the encoded partition."""
-    n = mat.n
-    terms: dict[Term, int] = {}
-    for key in _refinement_keys(from_indicator(mat).blocks):
-        terms[_partition_key_term(key, n)] = 1
-    return Polynomial(n, terms, "kappa")
+    term = _partition_key_term(mat.n)
+    keys = _refinement_keys(from_indicator(mat).blocks)
+    return Polynomial(mat.n, dict.fromkeys(map(term, keys), 1))
 
 
 def alternating_coarsening_sum(mat: IndicatorMatrix) -> int:

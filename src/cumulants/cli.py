@@ -19,7 +19,8 @@ from .estimation import (
     generalized_multivariate_cumulant_estimator,
     load_csv,
 )
-from .partitions import IntegerPartition, MultiIndexPartition, SetPartition, enumerate_partitions
+from .partitions import IntegerPartition, MultiIndexPartition, SetPartition
+from .partitions import _render_key, enumerate_partitions
 
 
 class _UsageError(Exception):
@@ -83,34 +84,34 @@ def _build_parser() -> _Parser:
 
 def _cmd_partitions(args) -> int:
     parts = enumerate_partitions(args.n, args.m)
+    texts = list(map(_render_key(args.n), (p.blocks for p in parts)))
     if args.json:
         print(json.dumps({
             "n": args.n,
             "m": args.m,
             "count": len(parts),
-            "partitions": [p.render() for p in parts],
+            "partitions": texts,
         }))
     else:
-        for p in parts:
-            print(p.render())
+        print("\n".join(texts))
     return 0
 
 
 def _cmd_csp(args) -> int:
     p = SetPartition.parse(args.partition)
     result = CSP_ALGORITHMS[args.algo](p)
+    texts = list(map(_render_key(p.n), (q.blocks for q in result.complementary)))
     if args.json:
         print(json.dumps({
             "input": p.render(),
             "n": p.n,
             "algorithm": result.algorithm,
-            "count": len(result.complementary),
-            "complementary": [q.render() for q in result.complementary],
+            "count": len(texts),
+            "complementary": texts,
             "elapsed_ms": result.elapsed * 1000.0,
         }))
     else:
-        for q in result.complementary:
-            print(q.render())
+        print("\n".join(texts))
     return 0
 
 
@@ -118,7 +119,7 @@ def _cmd_gencum(args) -> int:
     p = SetPartition.parse(args.partition)
     poly = generalized_cumulant(p)
     if args.json:
-        print(json.dumps({"terms": poly.json_terms()}))
+        print(poly.to_json())
     else:
         print(poly.pretty())
     return 0
@@ -128,7 +129,7 @@ def _cmd_gmc(args) -> int:
     mip = MultiIndexPartition.parse(args.mip)
     poly = generalized_multivariate_cumulant(mip)
     if args.json:
-        print(json.dumps({"terms": poly.json_terms()}))
+        print(poly.to_json())
     else:
         print(poly.pretty())
     return 0

@@ -403,12 +403,12 @@ def swap_transfer(
     for bs, bt in zip(src_blocks, tgt_blocks):
         for es, et in zip(bs, bt):
             relabel[es] = et
-    out = []
+    keys = []
     for q in source_csp:
         mapped = [tuple(sorted(relabel[e] for e in b)) for b in q.cr2_key()]
-        out.append(SetPartition._from_key(target.n, tuple(sorted(mapped))))
-    out.sort(key=SetPartition.sort_key)
-    return out
+        keys.append(tuple(sorted(mapped)))
+    keys.sort(key=_text_key())
+    return [SetPartition._from_key(target.n, k) for k in keys]
 
 
 def csp_twoblock_onevec(mat: IndicatorMatrix) -> list[IndicatorMatrix]:

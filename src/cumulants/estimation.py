@@ -196,10 +196,11 @@ class PowerSumPolynomial:
     def pretty(self) -> str:
         if not self.terms:
             return "0"
+        factors_text = _factors_text("S")
         bits = []
         for mono in sorted(self.terms, reverse=True):
             sign, coeff = _npoly_render(self.terms[mono])
-            factors = _factors_text(mono, "S")
+            factors = factors_text(mono)
             bits.append((sign < 0, factors if coeff == "1" else f"{coeff} {factors}"))
         num = _join_signed(bits)
         if self.order == 0:

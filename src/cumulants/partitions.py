@@ -28,22 +28,33 @@ Blocks = tuple[tuple[int, ...], ...]
 CANONICAL_FORMS = ("cr1", "cr2")
 
 
-def _text_key() -> Callable[[Blocks], str]:
-    """A function giving the comma text ``1,2|3`` of a block key; on cr2 keys
-    this text orders every listing.  The function memoizes block texts, which
-    repeat across the keys of one sort, so make one per sort."""
-    frag: dict[tuple[int, ...], str] = {}
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)``.  Listings repeat few
+    distinct blocks (at most 2^n) across many partitions (Bell(n)), so one
+    memo per listing renders each block once."""
 
-    def text(key: Blocks) -> str:
-        parts = []
-        for b in key:
-            s = frag.get(b)
-            if s is None:
-                s = frag[b] = ",".join(map(str, b))
-            parts.append(s)
-        return "|".join(parts)
+    __slots__ = ("fn",)
 
-    return text
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _text_key(sep: str = ",") -> Callable[[Blocks], str]:
+    """A function giving the text ``1,2|3`` of a block key, elements joined by
+    ``sep``; on cr2 keys the comma text orders every listing.  The function
+    memoizes block texts, which repeat across the keys of one listing, so make
+    one per sort or rendering."""
+    frag = _Memo(lambda b: sep.join(map(str, b)))
+    return lambda key: "|".join(map(frag.__getitem__, key))
+
+
+def _render_key(n: int) -> Callable[[Blocks], str]:
+    """``_text_key`` in the rendered form over [n]: compact digits when n <= 9."""
+    return _text_key("" if n <= 9 else ",")
 
 
 def _check_ground_set(n: int) -> None:
@@ -96,7 +107,7 @@ class SetPartition:
             if not block:
                 raise ValueError("empty block")
             for e in block:
-                if not isinstance(e, int) or e < 1 or e > n:
+                if isinstance(e, bool) or not isinstance(e, int) or e < 1 or e > n:
                     raise ValueError(f"element {e!r} outside 1..{n}")
                 if seen[e]:
                     raise ValueError(f"element {e} appears twice")
@@ -172,10 +183,9 @@ class SetPartition:
         return _text_key()(self.cr2_key())
 
     def render(self) -> str:
-        """Text form; compact digits when n <= 9, comma-separated otherwise."""
-        if self.n <= 9:
-            return "|".join("".join(str(e) for e in b) for b in self.blocks)
-        return _text_key()(self.blocks)
+        """Text form; compact digits when n <= 9, comma-separated otherwise.
+        A listing renders faster through one shared ``_render_key(n)``."""
+        return _render_key(self.n)(self.blocks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SetPartition):

@@ -310,6 +310,13 @@ def test_constructor_validation():
         SetPartition(3, [(1, 2), ()])
 
 
+def test_constructor_rejects_bool_elements():
+    with pytest.raises(ValueError):
+        SetPartition(2, [(True,), (2,)])
+    with pytest.raises(ValueError):
+        SetPartition(2, [(1, False)])
+
+
 # --- multi-index partitions --------------------------------------------------------
 
 
