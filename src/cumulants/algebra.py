@@ -13,11 +13,12 @@ import json
 from functools import lru_cache
 from itertools import product
 
-from .csp import CSP_ALGORITHMS, _two_block_excluded_keys, csp_twoblock_onevec
+from .csp import _two_block_excluded_keys, _twoblock_keys
 from .errors import DimensionError
 from .indicator import (
     IndicatorMatrix,
-    collapse_indicator,
+    _block_indicator,
+    _interval_sums,
     from_indicator,
     labeling_rule,
     to_dummy_indicator,
@@ -194,19 +195,12 @@ class Polynomial:
         return f"Polynomial({self.pretty()!r})"
 
 
-def _indicator_multi_index(block: tuple[int, ...], n: int) -> MultiIndex:
-    col = [0] * n
-    for e in block:
-        col[e - 1] = 1
-    return tuple(col)
-
-
 def _partition_key_term(n: int):
     """A function giving the factor key of a cr2 block key over [n]: one
     (indicator, 1) factor per block.  cr2 order is decreasing indicator order,
     so the factors need no sort.  Blocks repeat across a listing's keys, so
     the function memoizes their factors; make one per listing."""
-    factor = _Memo(lambda b: (_indicator_multi_index(b, n), 1))
+    factor = _Memo(lambda b: (_block_indicator(b, n), 1))
     return lambda key: tuple(map(factor.__getitem__, key))
 
 
@@ -240,17 +234,15 @@ def cumulants_to_moments(i) -> Polynomial:
     return _cumulants_to_moments_cached(_check_multi_index(i))
 
 
-def generalized_cumulant(p: SetPartition, algorithm: str = "twoblock") -> Polynomial:
+def generalized_cumulant(p: SetPartition) -> Polynomial:
     """Joint cumulant of the blockwise products, as a cumulant polynomial.
 
-    One term per complementary partition: the product of the joint cumulants
-    of its blocks, each encoded by the block's 0/1 indicator multi-index.  All
-    coefficients are 1.  The complementary enumerator is selectable for
-    differential testing.
+    One term per complementary partition, listed by the two-block algorithm:
+    the product of the joint cumulants of its blocks, each encoded by the
+    block's 0/1 indicator multi-index.  All coefficients are 1.
     """
-    result = CSP_ALGORITHMS[algorithm](p)
     term = _partition_key_term(p.n)
-    return Polynomial(p.n, dict.fromkeys((term(q.blocks) for q in result.complementary), 1))
+    return Polynomial(p.n, dict.fromkeys(map(term, _twoblock_keys(p)), 1))
 
 
 def generalized_cumulant_subtractive(p: SetPartition) -> Polynomial:
@@ -269,20 +261,21 @@ def generalized_cumulant_subtractive(p: SetPartition) -> Polynomial:
 def generalized_multivariate_cumulant(mip: MultiIndexPartition) -> Polynomial:
     """Generalized cumulant with repeated variables, in multivariate cumulants.
 
-    The multi-index partition is expanded over distinct dummy variables, the
-    complementary indicator matrices are enumerated, and each one is collapsed
-    back onto the original variables; collapses that coincide accumulate their
-    counts as the term coefficients.
+    This is the collapsed dummy cumulant: the multi-index partition is
+    expanded into a partition of distinct dummy variables, whose generalized
+    cumulant is collapsed back onto the original variables by summing each
+    indicator factor over the variables' dummy intervals.  Terms that
+    collapse alike add up, so a coefficient counts complementary dummy
+    partitions.
     """
-    labeling = labeling_rule(mip.target)
-    mat = to_dummy_indicator(mip)
-    counts: dict[MultiIndexPartition, int] = {}
-    for comp in csp_twoblock_onevec(mat):
-        collapsed = collapse_indicator(comp, labeling)
-        counts[collapsed] = counts.get(collapsed, 0) + 1
+    _check_ground_set(sum(mip.target))
+    dummy = generalized_cumulant(from_indicator(to_dummy_indicator(mip)))
+    bounds = labeling_rule(mip.target).bounds()
+    collapse = _Memo(lambda f: (_interval_sums(f[0], bounds), 1))
     terms: dict[Term, int] = {}
-    for collapsed, c in counts.items():
-        terms[tuple(zip(collapsed.columns, collapsed.multiplicities))] = c
+    for key in dummy.terms:
+        collapsed = _term(map(collapse.__getitem__, key))
+        terms[collapsed] = terms.get(collapsed, 0) + 1
     return Polynomial(mip.arity, terms, "kappa")
 
 
@@ -334,6 +327,7 @@ def generalized_cumulant_in_moments(mat: IndicatorMatrix) -> Polynomial:
     (-1)^(blocks-1) (blocks-1)!.  Substituting the cumulant expansion of each
     moment factor and collecting reproduces ``generalized_cumulant``.
     """
+    _check_ground_set(mat.n)
     term = _partition_key_term(mat.n)
     terms = {
         term(key): _moebius_weight(len(key))
@@ -345,6 +339,7 @@ def generalized_cumulant_in_moments(mat: IndicatorMatrix) -> Polynomial:
 def moment_product_expansion(mat: IndicatorMatrix) -> Polynomial:
     """Product of the blockwise joint moments written in cumulants: one term of
     coefficient 1 per partition refining the encoded partition."""
+    _check_ground_set(mat.n)
     term = _partition_key_term(mat.n)
     keys = _refinement_keys(from_indicator(mat).blocks)
     return Polynomial(mat.n, dict.fromkeys(map(term, keys), 1))
@@ -353,4 +348,5 @@ def moment_product_expansion(mat: IndicatorMatrix) -> Polynomial:
 def alternating_coarsening_sum(mat: IndicatorMatrix) -> int:
     """Sum of (-1)^(blocks-1) (blocks-1)! over the coarsenings of the encoded
     partition: 1 for the one-block partition, 0 for everything else."""
+    _check_ground_set(mat.n)
     return sum(_moebius_weight(len(g)) for g in _iter_partition_keys(range(mat.m)))

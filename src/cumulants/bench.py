@@ -96,7 +96,7 @@ def _median(values: list[float]) -> float:
     return 0.5 * (values[mid - 1] + values[mid])
 
 
-def run_bench(types, reps: int, progress=None) -> BenchReport:
+def run_bench(types, reps: int) -> BenchReport:
     """Time all five algorithms on one instance per block-size type.
 
     ``reps`` timed repetitions follow a single discarded warm-up; repetitions
@@ -142,9 +142,6 @@ def run_bench(types, reps: int, progress=None) -> BenchReport:
             if gc_was_enabled:
                 gc.enable()
         medians = {name: _median(times[name]) for name in ALGORITHM_NAMES}
-        if progress is not None:
-            for name in ALGORITHM_NAMES:
-                progress(btype, name, medians[name])
         count = len(reference)
         report.rows.append(
             BenchRow(

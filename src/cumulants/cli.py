@@ -115,24 +115,19 @@ def _cmd_csp(args) -> int:
     return 0
 
 
+def _print_polynomial(poly, as_json: bool) -> int:
+    print(poly.to_json() if as_json else poly.pretty())
+    return 0
+
+
 def _cmd_gencum(args) -> int:
     p = SetPartition.parse(args.partition)
-    poly = generalized_cumulant(p)
-    if args.json:
-        print(poly.to_json())
-    else:
-        print(poly.pretty())
-    return 0
+    return _print_polynomial(generalized_cumulant(p), args.json)
 
 
 def _cmd_gmc(args) -> int:
     mip = MultiIndexPartition.parse(args.mip)
-    poly = generalized_multivariate_cumulant(mip)
-    if args.json:
-        print(poly.to_json())
-    else:
-        print(poly.pretty())
-    return 0
+    return _print_polynomial(generalized_multivariate_cumulant(mip), args.json)
 
 
 def _cmd_estimate(args) -> int:

@@ -148,10 +148,10 @@ def _two_block_excluded_keys(blocks: Blocks) -> set[Blocks]:
     }
 
 
-def csp_twoblock(p: SetPartition) -> CspResult:
-    """Full lattice minus the partitions generated from two-block splits."""
+def _twoblock_keys(p: SetPartition) -> list[Blocks]:
+    """cr2 keys of the partitions complementary to ``p``, in walk order: the
+    full lattice minus the partitions generated from two-block splits."""
     _check_ground_set(p.n)
-    t0 = perf_counter()
     excluded = _two_block_excluded_codes(p.cr2_key())
     block_of: dict[int, tuple[int, ...]] = {}
     keys = []
@@ -165,7 +165,13 @@ def csp_twoblock(p: SetPartition) -> CspResult:
                 block = block_of[mask] = _set_bits(mask)
             key.append(block)
         keys.append(tuple(key))
-    return _finish(p, "twoblock", keys, t0)
+    return keys
+
+
+def csp_twoblock(p: SetPartition) -> CspResult:
+    """Full lattice minus the partitions generated from two-block splits."""
+    t0 = perf_counter()
+    return _finish(p, "twoblock", _twoblock_keys(p), t0)
 
 
 def _path_edges(blocks: Blocks) -> list[tuple[int, int]]:

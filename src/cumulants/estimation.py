@@ -398,6 +398,7 @@ def distinct_index_expansion(factors) -> PowerSumPolynomial:
     factors = [_check_multi_index(a) for a in factors]
     if not factors:
         raise ValueError("need at least one factor")
+    _check_ground_set(len(factors))
     arity = len(factors[0])
     for a in factors:
         if len(a) != arity:

@@ -87,15 +87,17 @@ class IndicatorMatrix:
         return self.render()
 
 
+def _block_indicator(block, n: int) -> Column:
+    """0/1 indicator over [n] of a block of elements of [n]."""
+    col = [0] * n
+    for e in block:
+        col[e - 1] = 1
+    return tuple(col)
+
+
 def to_indicator(p: SetPartition) -> IndicatorMatrix:
     """Indicator matrix of a partition; column j encodes block j of the cr2 layout."""
-    cols = []
-    for block in p.cr2_key():
-        col = [0] * p.n
-        for e in block:
-            col[e - 1] = 1
-        cols.append(tuple(col))
-    return IndicatorMatrix(p.n, tuple(cols))
+    return IndicatorMatrix(p.n, tuple(_block_indicator(b, p.n) for b in p.cr2_key()))
 
 
 def from_indicator(mat: IndicatorMatrix) -> SetPartition:
@@ -226,22 +228,19 @@ def to_dummy_indicator(mip: MultiIndexPartition) -> IndicatorMatrix:
     """
     cols = mip.expanded()
     labeling = labeling_rule(mip.target)
-    bounds = labeling.bounds()
-    p = labeling.positions
     supports: list[list[int]] = [[] for _ in cols]
-    for k in range(labeling.arity):
-        pos = bounds[k]
-        for q, col in enumerate(cols):
-            for _ in range(col[k]):
-                supports[q].append(pos)
-                pos += 1
-    out = []
-    for rows in supports:
-        vec = [0] * p
-        for t in rows:
-            vec[t] = 1
-        out.append(tuple(vec))
-    return IndicatorMatrix(p, tuple(sorted(out, reverse=True)))
+    for k, pos in enumerate(labeling.bounds()[:-1]):
+        for support, col in zip(supports, cols):
+            support.extend(range(pos + 1, pos + 1 + col[k]))
+            pos += col[k]
+    p = labeling.positions
+    return IndicatorMatrix.from_columns(p, (_block_indicator(s, p) for s in supports))
+
+
+def _interval_sums(col: Column, bounds: list[int]) -> MultiIndex:
+    """A dummy column collapsed onto the variables: its entries summed over
+    each interval ``bounds[k]:bounds[k + 1]`` of a labeling."""
+    return tuple(sum(col[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def collapse_indicator(mat: IndicatorMatrix, labeling: VariableLabeling) -> MultiIndexPartition:
@@ -251,15 +250,7 @@ def collapse_indicator(mat: IndicatorMatrix, labeling: VariableLabeling) -> Mult
             f"matrix has {mat.n} rows but labeling covers {labeling.positions} positions"
         )
     bounds = labeling.bounds()
-    cols = []
-    for col in mat.columns:
-        cols.append(
-            tuple(
-                sum(col[t] for t in range(bounds[k], bounds[k + 1]))
-                for k in range(labeling.arity)
-            )
-        )
-    return MultiIndexPartition.from_columns(cols)
+    return MultiIndexPartition.from_columns(_interval_sums(col, bounds) for col in mat.columns)
 
 
 def indicator_preimages(
@@ -278,7 +269,7 @@ def indicator_preimages(
     bounds = labeling.bounds()
     per_interval: list[list[tuple[tuple[int, ...], ...]]] = []
     for k in range(labeling.arity):
-        slots = tuple(range(bounds[k], bounds[k + 1]))
+        slots = tuple(range(bounds[k] + 1, bounds[k + 1] + 1))
         counts = [col[k] for col in cols]
         choices: list[tuple[tuple[int, ...], ...]] = []
 
@@ -299,12 +290,9 @@ def indicator_preimages(
     p = labeling.positions
     seen: set[tuple[Column, ...]] = set()
     for combo in product(*per_interval):
-        vecs = []
-        for q in range(len(cols)):
-            vec = [0] * p
-            for dist in combo:
-                for t in dist[q]:
-                    vec[t] = 1
-            vecs.append(tuple(vec))
+        vecs = [
+            _block_indicator([t for dist in combo for t in dist[q]], p)
+            for q in range(len(cols))
+        ]
         seen.add(tuple(sorted(vecs, reverse=True)))
     return [IndicatorMatrix(p, key) for key in sorted(seen, reverse=True)]

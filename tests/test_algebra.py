@@ -7,7 +7,8 @@ from itertools import product
 import pytest
 
 from cumulants import (
-    ALGORITHM_NAMES,
+    CSP_ALGORITHMS,
+    BoundsError,
     DimensionError,
     MultiIndexPartition,
     Polynomial,
@@ -28,6 +29,7 @@ from cumulants import (
     to_dummy_indicator,
     to_indicator,
 )
+from cumulants.partitions import MAX_GROUND_SET
 
 
 def term(*factors):
@@ -120,11 +122,18 @@ def test_generalized_cumulant_of_singletons_is_joint_cumulant():
     assert generalized_cumulant(p).terms == {term((1, 1, 1, 1)): 1}
 
 
-def test_generalized_cumulant_enumerator_flag():
-    p = SetPartition.parse("12|34|5")
-    base = generalized_cumulant(p)
-    for name in ALGORITHM_NAMES:
-        assert generalized_cumulant(p, algorithm=name) == base
+def test_generalized_cumulant_matches_every_listing():
+    # one term of coefficient 1 per listed partition: the product of the
+    # indicators of its blocks, whichever of the five algorithms lists it
+    for n in range(1, 6):
+        for p in enumerate_partitions(n):
+            got = generalized_cumulant(p).terms
+            for name, algo in CSP_ALGORITHMS.items():
+                want = {
+                    term(*(tuple(int(e in b) for e in range(1, n + 1)) for b in q.blocks)): 1
+                    for q in algo(p).complementary
+                }
+                assert got == want, (name, p.render())
 
 
 def test_coefficient_one_law():
@@ -174,11 +183,13 @@ def test_gmc_distinct_variables_matches_set_partition_case():
 
 
 def test_gmc_two_paths_agree():
-    for i in targets_up_to(4, 3):
-        for mip in enumerate_multiindex_partitions(i):
-            direct = generalized_multivariate_cumulant(mip)
-            subtractive = generalized_multivariate_cumulant_subtractive(mip)
-            assert direct == subtractive, mip
+    # |i| = 7 and 8 lie beyond criterion 05's range
+    beyond = ("2,1,1|1,1,2", "2,2|2,2", "1,1|1,1|1,1|1,1")
+    mips = [mip for i in targets_up_to(4, 3) for mip in enumerate_multiindex_partitions(i)]
+    for mip in mips + [MultiIndexPartition.parse(text) for text in beyond]:
+        direct = generalized_multivariate_cumulant(mip)
+        subtractive = generalized_multivariate_cumulant_subtractive(mip)
+        assert direct == subtractive, mip
 
 
 def test_gmc_subtractive_many_equal_columns_is_bounded():
@@ -305,3 +316,19 @@ def test_polynomial_mismatches():
         Polynomial.single((1, 0)) + Polynomial.single((1, 0, 0))
     with pytest.raises(ValueError):
         Polynomial.single((1, 0), "kappa") + Polynomial.single((1, 0), "mu")
+
+
+@pytest.mark.parametrize("fn, blocks", [
+    (alternating_coarsening_sum, "singletons"),
+    (generalized_cumulant_in_moments, "singletons"),
+    (moment_product_expansion, "one block"),
+])
+def test_indicator_routes_enforce_ground_set_bound(fn, blocks):
+    # the input that would walk Bell(13) partitions without the bound
+    n = MAX_GROUND_SET + 1
+    elements = range(1, n + 1)
+    p = SetPartition(n, [(e,) for e in elements] if blocks == "singletons" else [elements])
+    t0 = time.perf_counter()
+    with pytest.raises(BoundsError):
+        fn(to_indicator(p))
+    assert time.perf_counter() - t0 < 1.0

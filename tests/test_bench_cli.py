@@ -156,6 +156,7 @@ def test_cli_bench_bad_types_is_usage_error(capsys, types):
 @pytest.mark.parametrize("argv", [
     ["csp", "--partition", "1,2|3,4|5,6|7,8|9,10|11,12|13,14|15,16"],
     ["gmc", "--lambda", "8,0|0,8"],
+    ["gmc", "--lambda", "3000000"],
 ])
 def test_cli_ground_set_bound(capsys, argv):
     t0 = time.perf_counter()

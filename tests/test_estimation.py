@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -416,6 +417,13 @@ def test_evaluate_outside_float_range():
     data = SampleMatrix.from_rows([[1e300], [-1e300], [0.0]])
     with pytest.raises(BoundsError):
         evaluate(polykay(MultiIndexPartition.parse("2")), data)
+
+
+def test_distinct_index_expansion_enforces_ground_set_bound():
+    t0 = time.perf_counter()
+    with pytest.raises(BoundsError):
+        distinct_index_expansion([(1,)] * 13)  # Bell(13) partitions of the factors
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_estimator_builders_enforce_ground_set_bound():
