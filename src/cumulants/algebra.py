@@ -13,7 +13,7 @@ import json
 from functools import lru_cache
 from itertools import product
 
-from .csp import _two_block_excluded_keys, _twoblock_keys
+from .csp import _twoblock_keys
 from .errors import DimensionError
 from .indicator import (
     IndicatorMatrix,
@@ -247,33 +247,41 @@ def generalized_cumulant(p: SetPartition) -> Polynomial:
 
 def generalized_cumulant_subtractive(p: SetPartition) -> Polynomial:
     """Same output as ``generalized_cumulant``, computed as the sum over the
-    whole partition lattice minus the sum over the non-complementary family."""
+    whole partition lattice minus the sum over the non-complementary family.
+
+    A partition is not complementary to ``p`` exactly when its join with
+    ``p`` has at least two blocks, that is when it refines a two-block
+    coarsening of ``p``; the family is built from those lattice maps, not
+    from the two-block listing."""
     n = p.n
     _check_ground_set(n)
     term = _partition_key_term(n)
-    poly = Polynomial(n, dict.fromkeys(map(term, _iter_partition_keys(range(1, n + 1))), 1))
-    blocks = p.cr2_key()
-    if len(blocks) > 1:
-        poly = poly - Polynomial(n, dict.fromkeys(map(term, _two_block_excluded_keys(blocks)), 1))
-    return poly
+    excluded = {
+        key
+        for coarse in _coarsening_keys(p.cr2_key())
+        if len(coarse) == 2
+        for key in _refinement_keys(coarse)
+    }
+    lattice = _iter_partition_keys(range(1, n + 1))
+    full = Polynomial(n, dict.fromkeys(map(term, lattice), 1))
+    return full - Polynomial(n, dict.fromkeys(map(term, excluded), 1))
 
 
 def generalized_multivariate_cumulant(mip: MultiIndexPartition) -> Polynomial:
     """Generalized cumulant with repeated variables, in multivariate cumulants.
 
     This is the collapsed dummy cumulant: the multi-index partition is
-    expanded into a partition of distinct dummy variables, whose generalized
-    cumulant is collapsed back onto the original variables by summing each
-    indicator factor over the variables' dummy intervals.  Terms that
-    collapse alike add up, so a coefficient counts complementary dummy
-    partitions.
+    expanded into a partition of distinct dummy variables, the partitions
+    complementary to it are streamed from the two-block walk, and each of
+    their blocks is collapsed back onto the original variables by counting
+    its elements in each variable's dummy interval.  Terms that collapse
+    alike add up, so a coefficient counts complementary dummy partitions.
     """
-    _check_ground_set(sum(mip.target))
-    dummy = generalized_cumulant(from_indicator(to_dummy_indicator(mip)))
+    dummy = from_indicator(to_dummy_indicator(mip))
     bounds = labeling_rule(mip.target).bounds()
-    collapse = _Memo(lambda f: (_interval_sums(f[0], bounds), 1))
+    collapse = _Memo(lambda b: (_interval_sums(_block_indicator(b, dummy.n), bounds), 1))
     terms: dict[Term, int] = {}
-    for key in dummy.terms:
+    for key in _twoblock_keys(dummy):
         collapsed = _term(map(collapse.__getitem__, key))
         terms[collapsed] = terms.get(collapsed, 0) + 1
     return Polynomial(mip.arity, terms, "kappa")

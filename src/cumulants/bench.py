@@ -30,13 +30,6 @@ DEFAULT_TYPES = (
     (2, 3, 4),
 )
 
-#: Heavy rows over a ground set of 10; opt-in, each slow algorithm sweep walks
-#: 115975 partitions repeatedly.
-LARGE_TYPES = (
-    (2, 2, 2, 2, 2),
-    (2, 2, 3, 3),
-)
-
 
 def instance_partition(block_type: IntegerPartition) -> SetPartition:
     """Canonical representative: consecutive integers fill blocks of the given

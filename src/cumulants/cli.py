@@ -74,8 +74,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="algorithm comparison benchmark")
     p.add_argument("--types", type=_block_types, default=None, help='e.g. "2,2,3;3,4"')
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--include-n10", action="store_true",
-                   help="also run the heavy ground-set-10 rows")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None, help="write the JSON report to a file")
 
@@ -155,8 +153,6 @@ def _cmd_bench(args) -> int:
     types = args.types
     if not types:
         types = [IntegerPartition(t) for t in bench_mod.DEFAULT_TYPES]
-        if args.include_n10:
-            types += [IntegerPartition(t) for t in bench_mod.LARGE_TYPES]
     report = bench_mod.run_bench(types, args.reps)
     doc = report.to_json_dict()
     if args.out:

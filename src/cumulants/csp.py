@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from time import perf_counter
+from typing import Iterator
 
 from .errors import AlgebraConsistencyError, IncompatibleTypeError
 from .indicator import IndicatorMatrix, from_indicator, to_indicator
@@ -28,6 +29,7 @@ from .partitions import (
     Blocks,
     MultiIndexPartition,
     SetPartition,
+    _Memo,
     _check_ground_set,
     _column_groupings,
     _iter_partition_keys,
@@ -140,21 +142,13 @@ def _two_block_excluded_codes(blocks: Blocks) -> set[int]:
     return excluded
 
 
-def _two_block_excluded_keys(blocks: Blocks) -> set[Blocks]:
-    """Block-tuple view of the excluded family (for the non-timing callers)."""
-    return {
-        tuple(sorted(map(_set_bits, _set_bits(code))))
-        for code in _two_block_excluded_codes(blocks)
-    }
-
-
-def _twoblock_keys(p: SetPartition) -> list[Blocks]:
-    """cr2 keys of the partitions complementary to ``p``, in walk order: the
-    full lattice minus the partitions generated from two-block splits."""
+def _twoblock_keys(p: SetPartition) -> Iterator[Blocks]:
+    """Yield the cr2 keys of the partitions complementary to ``p``, in walk
+    order: the full lattice minus the partitions generated from two-block
+    splits.  The bound check runs at the first ``next()``."""
     _check_ground_set(p.n)
     excluded = _two_block_excluded_codes(p.cr2_key())
     block_of: dict[int, tuple[int, ...]] = {}
-    keys = []
     for masks in _iter_block_masks(range(1, p.n + 1)):
         if _code(masks) in excluded:
             continue
@@ -164,8 +158,7 @@ def _twoblock_keys(p: SetPartition) -> list[Blocks]:
             if block is None:
                 block = block_of[mask] = _set_bits(mask)
             key.append(block)
-        keys.append(tuple(key))
-    return keys
+        yield tuple(key)
 
 
 def csp_twoblock(p: SetPartition) -> CspResult:
@@ -329,20 +322,12 @@ def csp_stafford(p: SetPartition) -> CspResult:
     t0 = perf_counter()
     blocks = p.cr2_key()
     m = len(blocks)
-    part_cache: dict[tuple[int, ...], list[Blocks]] = {}
-
-    def parts_of(elems: tuple[int, ...]) -> list[Blocks]:
-        got = part_cache.get(elems)
-        if got is None:
-            got = list(_iter_partition_keys(elems))
-            part_cache[elems] = got
-        return got
-
+    parts = _Memo(lambda elems: list(_iter_partition_keys(elems)))
     coeffs: dict[Blocks, int] = {}
     for sigma in _iter_partition_keys(range(m)):
         sign = _moebius_weight(len(sigma))
         merged = [tuple(sorted(e for j in c for e in blocks[j])) for c in sigma]
-        lists = [parts_of(a) for a in merged]
+        lists = [parts[a] for a in merged]
         for combo in product(*lists):
             allb: list[tuple[int, ...]] = []
             for part in combo:

@@ -41,6 +41,7 @@ from .algebra import (
 from .partitions import (
     MultiIndex,
     MultiIndexPartition,
+    _Memo,
     _check_ground_set,
     _check_multi_index,
     _column_groupings,
@@ -503,20 +504,12 @@ def evaluate(expr: PowerSumPolynomial, data: SampleMatrix) -> float:
     den = 1
     for j in range(expr.order):
         den *= n_obs - j
-    cache: dict[MultiIndex, Fraction] = {}
-
-    def ps(label: MultiIndex) -> Fraction:
-        got = cache.get(label)
-        if got is None:
-            got = power_sum(data, label)
-            cache[label] = got
-        return got
-
+    ps = _Memo(partial(power_sum, data))
     total = Fraction(0)
     for mono, poly in expr.terms.items():
         val = Fraction(_npoly_eval(poly, n_obs))
         for lab, mult in mono:
-            val *= ps(lab) ** mult
+            val *= ps[lab] ** mult
         total += val
     try:
         return float(total / den)

@@ -21,7 +21,7 @@ from itertools import combinations, product
 
 from .errors import DimensionError, MalformedMatrixError, ParseError
 from .linalg import integer_rank, nullspace_basis
-from .partitions import MultiIndex, MultiIndexPartition, SetPartition
+from .partitions import MultiIndex, MultiIndexPartition, SetPartition, _check_ground_set
 
 Column = tuple[int, ...]
 
@@ -226,6 +226,7 @@ def to_dummy_indicator(mip: MultiIndexPartition) -> IndicatorMatrix:
     returns the original multi-index partition, and the column supports stay
     in decreasing order.
     """
+    _check_ground_set(sum(mip.target))
     cols = mip.expanded()
     labeling = labeling_rule(mip.target)
     supports: list[list[int]] = [[] for _ in cols]
@@ -265,6 +266,7 @@ def indicator_preimages(
     """
     if mip.target != labeling.target:
         raise DimensionError("labeling target differs from partition target")
+    _check_ground_set(labeling.positions)
     cols = mip.expanded()
     bounds = labeling.bounds()
     per_interval: list[list[tuple[tuple[int, ...], ...]]] = []

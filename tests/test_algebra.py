@@ -23,6 +23,8 @@ from cumulants import (
     generalized_cumulant_subtractive,
     generalized_multivariate_cumulant,
     generalized_multivariate_cumulant_subtractive,
+    indicator_preimages,
+    labeling_rule,
     moment_product_expansion,
     moments_to_cumulants,
     subdivision_coefficient,
@@ -144,7 +146,7 @@ def test_coefficient_one_law():
 
 
 def test_subtractive_route_agrees():
-    for n in range(2, 6):
+    for n in range(2, 7):
         for p in enumerate_partitions(n):
             assert generalized_cumulant_subtractive(p) == generalized_cumulant(p), p.render()
 
@@ -318,17 +320,32 @@ def test_polynomial_mismatches():
         Polynomial.single((1, 0), "kappa") + Polynomial.single((1, 0), "mu")
 
 
+def _preimages(mip):
+    return indicator_preimages(mip, labeling_rule(mip.target))
+
+
+_ABOVE_BOUND = range(1, MAX_GROUND_SET + 2)
+
+#: Inputs over the size bound: the two indicator matrices would walk Bell(13)
+#: partitions, "3000000" would build a 3-million-row dummy column, and "13"
+#: has a single preimage, so a missing check shows at once, not as a hang.
+_OVER_BOUND = {
+    "singletons": to_indicator(SetPartition(len(_ABOVE_BOUND), [(e,) for e in _ABOVE_BOUND])),
+    "one block": to_indicator(SetPartition(len(_ABOVE_BOUND), [_ABOVE_BOUND])),
+    "3000000": MultiIndexPartition.parse("3000000"),
+    "13": MultiIndexPartition.parse("13"),
+}
+
+
 @pytest.mark.parametrize("fn, blocks", [
     (alternating_coarsening_sum, "singletons"),
     (generalized_cumulant_in_moments, "singletons"),
     (moment_product_expansion, "one block"),
+    (to_dummy_indicator, "3000000"),
+    (_preimages, "13"),
 ])
 def test_indicator_routes_enforce_ground_set_bound(fn, blocks):
-    # the input that would walk Bell(13) partitions without the bound
-    n = MAX_GROUND_SET + 1
-    elements = range(1, n + 1)
-    p = SetPartition(n, [(e,) for e in elements] if blocks == "singletons" else [elements])
     t0 = time.perf_counter()
     with pytest.raises(BoundsError):
-        fn(to_indicator(p))
+        fn(_OVER_BOUND[blocks])
     assert time.perf_counter() - t0 < 1.0

@@ -1,17 +1,23 @@
 """Benchmark harness plumbing and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import cumulants
 from cumulants import (
     ALGORITHM_NAMES,
     BoundsError,
     IntegerPartition,
+    MultiIndexPartition,
     SetPartition,
     bell_number,
     count_not_complementary,
+    generalized_multivariate_cumulant_subtractive,
     instance_partition,
     run_bench,
 )
@@ -94,6 +100,35 @@ def test_cli_gmc_many_distinct_columns_is_bounded(capsys):
     assert main(["gmc", "--lambda", unit]) == 0
     assert time.perf_counter() - t0 < 5.0
     assert capsys.readouterr().out.strip() == "κ[1,1,1,1,1,1,1,1,1]"
+
+
+#: Runs the CLI on its arguments in a child process, then writes that child's
+#: peak RSS to stderr.  Linux carries a process's peak RSS across fork and
+#: exec, so a CLI process started straight from the test process would report
+#: the test process's peak; started from this small interpreter, it reports
+#: its own.
+_LAUNCHER = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "cumulants.cli", *sys.argv[1:]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_cli_gmc_repeated_columns_fresh_process():
+    pytest.importorskip("resource")
+    lam = "3,3|3,2"  # Bell(11) dummy partitions
+    src = os.path.dirname(os.path.dirname(cumulants.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, "gmc", "--lambda", lam, "--json"],
+        capture_output=True, text=True, timeout=300, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    want = generalized_multivariate_cumulant_subtractive(MultiIndexPartition.parse(lam))
+    assert run.stdout == want.to_json() + "\n"
+    # ru_maxrss is in bytes on macOS and in kilobytes elsewhere
+    peak_mb = int(run.stderr.split()[-1]) / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mb < 64
 
 
 def test_cli_partitions(capsys):
