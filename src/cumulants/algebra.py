@@ -33,9 +33,8 @@ from .partitions import (
     _check_multi_index,
     _column_groupings,
     _iter_partition_keys,
+    _mip_walk,
     _moebius_weight,
-    enumerate_multiindex_partitions,
-    subdivision_coefficient,
 )
 
 Term = tuple[tuple[MultiIndex, int], ...]
@@ -205,33 +204,27 @@ def _partition_key_term(n: int):
 
 
 @lru_cache(maxsize=None)
-def _moments_to_cumulants_cached(i: MultiIndex) -> Polynomial:
-    terms: dict[Term, int] = {}
-    for mip in enumerate_multiindex_partitions(i):
-        key = tuple(zip(mip.columns, mip.multiplicities))
-        terms[key] = subdivision_coefficient(mip)
-    return Polynomial(len(i), terms, "kappa")
+def _expansion(i: MultiIndex, symbol: str) -> Polynomial:
+    """The sum over the multi-index partitions of ``i`` of their column
+    products weighted by subdivision coefficients (the moment in cumulants),
+    or in ``mu`` with the alternating factorial signs (the cumulant in moments)."""
+    terms = {
+        tuple(zip(cols, mults)): (_moebius_weight(sum(mults)) if symbol == "mu" else 1) * coef
+        for cols, mults, coef in _mip_walk(i)
+    }
+    return Polynomial(len(i), terms, symbol)
 
 
 def moments_to_cumulants(i) -> Polynomial:
     """The moment of order ``i`` written in cumulants: the sum over all
     multi-index partitions of ``i`` weighted by their subdivision coefficients."""
-    return _moments_to_cumulants_cached(_check_multi_index(i))
-
-
-@lru_cache(maxsize=None)
-def _cumulants_to_moments_cached(i: MultiIndex) -> Polynomial:
-    terms: dict[Term, int] = {}
-    for mip in enumerate_multiindex_partitions(i):
-        key = tuple(zip(mip.columns, mip.multiplicities))
-        terms[key] = _moebius_weight(mip.length) * subdivision_coefficient(mip)
-    return Polynomial(len(i), terms, "mu")
+    return _expansion(_check_multi_index(i), "kappa")
 
 
 def cumulants_to_moments(i) -> Polynomial:
     """The cumulant of order ``i`` written in moments, with the alternating
     factorial signs; formally inverse to ``moments_to_cumulants``."""
-    return _cumulants_to_moments_cached(_check_multi_index(i))
+    return _expansion(_check_multi_index(i), "mu")
 
 
 def generalized_cumulant(p: SetPartition) -> Polynomial:

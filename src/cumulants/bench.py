@@ -105,10 +105,11 @@ def run_bench(types, reps: int) -> BenchReport:
         warmup=1,
         clock_resolution=time.get_clock_info("perf_counter").resolution,
     )
-    for entry in types:
-        btype = entry if isinstance(entry, IntegerPartition) else IntegerPartition(entry)
+    btypes = [t if isinstance(t, IntegerPartition) else IntegerPartition(t) for t in types]
+    for btype in btypes:  # every row is checked before any is timed
         if btype.n > 10:
             raise BoundsError(f"ground set {btype.n} too large for the bench")
+    for btype in btypes:
         p = instance_partition(btype)
         warm = {}
         for name in ALGORITHM_NAMES:

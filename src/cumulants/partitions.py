@@ -7,7 +7,10 @@ here is safe to use concurrently.  Enumeration orders are deterministic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import dropwhile, product, takewhile
+from operator import mul, sub
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -381,17 +384,18 @@ class MultiIndexPartition:
     @classmethod
     def from_columns(cls, cols) -> "MultiIndexPartition":
         """Build from an iterable of columns, merging repeats."""
-        counts: dict[MultiIndex, int] = {}
-        for col in cols:
-            col = _check_multi_index(col)
-            counts[col] = counts.get(col, 0) + 1
+        return cls._from_counts(Counter(map(_check_multi_index, cols)))
+
+    @classmethod
+    def _from_counts(cls, counts: dict[MultiIndex, int]) -> "MultiIndexPartition":
         ordered = sorted(counts, reverse=True)
         return cls(tuple(ordered), tuple(counts[c] for c in ordered))
 
     @classmethod
     def parse(cls, text: str) -> "MultiIndexPartition":
-        """Parse ``1,0,0|0,1,1^2``: columns split by ``|``, optional ``^r`` repeats."""
-        cols = []
+        """Parse ``1,0,0|0,1,1^2``: columns split by ``|``, optional ``^r``
+        repeats, which are counted, never written out."""
+        counts: Counter[MultiIndex] = Counter()
         for tok in text.strip().split("|"):
             tok = tok.strip()
             mult = 1
@@ -407,9 +411,9 @@ class MultiIndexPartition:
                 col = tuple(int(e) for e in tok.split(","))
             except ValueError:
                 raise ParseError(f"bad column {tok!r}") from None
-            cols.extend([col] * mult)
+            counts[col] += mult
         try:
-            return cls.from_columns(cols)
+            return cls._from_counts(counts)
         except (ValueError, DimensionError) as exc:
             raise ParseError(f"{text!r}: {exc}") from None
 
@@ -443,20 +447,42 @@ class MultiIndexPartition:
         )
 
 
-def _columns_at_most(remaining: MultiIndex, bound: MultiIndex) -> Iterator[MultiIndex]:
-    """Nonzero columns <= remaining entrywise and <= bound in tuple order, descending."""
-    arity = len(remaining)
+def _mip_walk(i) -> Iterator[tuple[tuple[MultiIndex, ...], tuple[int, ...], int]]:
+    """Every multi-index partition of the target ``i`` as (columns,
+    multiplicities, subdivision coefficient), largest column sequences first.
 
-    def rec(k: int, prefix: tuple[int, ...], tied: bool) -> Iterator[MultiIndex]:
-        if k == arity:
-            if any(prefix):
-                yield prefix
-            return
-        top = min(remaining[k], bound[k]) if tied else remaining[k]
-        for e in range(top, -1, -1):
-            yield from rec(k + 1, prefix + (e,), tied and e == bound[k])
+    Columns are pushed in weakly decreasing order, each counted down from the
+    previous one among the nonzero columns entrywise <= what remains.  Each
+    push multiplies the coefficient by the ways to pick the column from what
+    remains, over its repeat so far (exact: it counts placements of the
+    pushed columns).  The target is checked at the first ``next()``.
+    """
+    i = _check_multi_index(i)
+    if not any(i):
+        raise EmptyTargetError("target multi-index has no nonzero entry")
+    if sum(i) > MAX_GROUND_SET:
+        raise BoundsError(f"|i| must be <= {MAX_GROUND_SET}, got {sum(i)}")
 
-    yield from rec(0, (), True)
+    def candidates(remaining: MultiIndex, bound: MultiIndex) -> Iterator[MultiIndex]:
+        cols = product(*[range(r, -1, -1) for r in remaining])
+        return takewhile(any, dropwhile(bound.__lt__, cols))
+
+    stack = [(i, candidates(i, i), (), (), 1)]
+    while stack:
+        remaining, cands, cols, mults, coef = stack[-1]
+        for col in cands:
+            if cols and cols[-1] == col:
+                cols_, mults_ = cols, mults[:-1] + (mults[-1] + 1,)
+            else:
+                cols_, mults_ = cols + (col,), mults + (1,)
+            coef_ = coef * math.prod(map(math.comb, remaining, col)) // mults_[-1]
+            rest = tuple(map(sub, remaining, col))
+            if any(rest):
+                stack.append((rest, candidates(rest, col), cols_, mults_, coef_))
+                break
+            yield cols_, mults_, coef_
+        else:
+            stack.pop()
 
 
 def enumerate_multiindex_partitions(i) -> list[MultiIndexPartition]:
@@ -466,26 +492,7 @@ def enumerate_multiindex_partitions(i) -> list[MultiIndexPartition]:
     with the lexicographically largest column sequences first.  For the all-ones
     target of length n the count equals Bell(n).
     """
-    i = _check_multi_index(i)
-    order = sum(i)
-    if order == 0:
-        raise EmptyTargetError("target multi-index has no nonzero entry")
-    if order > MAX_GROUND_SET:
-        raise BoundsError(f"|i| must be <= {MAX_GROUND_SET}, got {order}")
-    out: list[MultiIndexPartition] = []
-    acc: list[MultiIndex] = []
-
-    def rec(remaining: MultiIndex, bound: MultiIndex):
-        if not any(remaining):
-            out.append(MultiIndexPartition.from_columns(acc))
-            return
-        for col in _columns_at_most(remaining, bound):
-            acc.append(col)
-            rec(tuple(r - c for r, c in zip(remaining, col)), col)
-            acc.pop()
-
-    rec(i, i)
-    return out
+    return [MultiIndexPartition(cols, mults) for cols, mults, _ in _mip_walk(i)]
 
 
 def subdivision_coefficient(mip: MultiIndexPartition) -> int:
@@ -514,10 +521,8 @@ def _column_groupings(columns, multiplicities):
     with the same merged blocks.  ``merged`` lists each distinct block as
     (summed column, repeat, number of columns in the block).
     """
-    for g in enumerate_multiindex_partitions(multiplicities):
-        merged = [
-            (tuple(sum(b * e for b, e in zip(beta, row)) for row in zip(*columns)),
-             rep, sum(beta))
-            for beta, rep in zip(g.columns, g.multiplicities)
-        ]
-        yield merged, g.length, subdivision_coefficient(g)
+    rows = list(zip(*columns))
+    block = _Memo(lambda beta: (tuple(sum(map(mul, beta, row)) for row in rows), sum(beta)))
+    for betas, reps, count in _mip_walk(multiplicities):
+        merged = [(col, rep, size) for (col, size), rep in zip(map(block.__getitem__, betas), reps)]
+        yield merged, sum(reps), count

@@ -192,6 +192,8 @@ def test_cli_bench_bad_types_is_usage_error(capsys, types):
     ["csp", "--partition", "1,2|3,4|5,6|7,8|9,10|11,12|13,14|15,16"],
     ["gmc", "--lambda", "8,0|0,8"],
     ["gmc", "--lambda", "3000000"],
+    ["gmc", "--lambda", "1^30000000"],
+    ["bench", "--types", "2,2,2,2,2;6,5"],
 ])
 def test_cli_ground_set_bound(capsys, argv):
     t0 = time.perf_counter()
@@ -203,11 +205,12 @@ def test_cli_ground_set_bound(capsys, argv):
 def test_cli_estimate_size_bound_before_loading(capsys, tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("".join(f"{r},{r % 7}\n" for r in range(20)))
-    t0 = time.perf_counter()
-    assert main(["estimate", "--data", str(path), "--lambda", "|".join(["1,1"] * 8)]) == 2
-    assert time.perf_counter() - t0 < 1.0
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "got 16" in err
+    for lam, size in [("|".join(["1,1"] * 8), 16), ("1,0^30000000", 30000000)]:
+        t0 = time.perf_counter()
+        assert main(["estimate", "--data", str(path), "--lambda", lam]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"got {size}" in err
 
 
 @pytest.mark.parametrize("content", [

@@ -21,6 +21,7 @@ from cumulants import (
     join,
     subdivision_coefficient,
 )
+from cumulants.partitions import _mip_walk
 
 
 # --- independent oracles ---------------------------------------------------
@@ -375,6 +376,26 @@ def test_mip_arrangement_counts_match_composition_oracle():
                 arrangements //= math.factorial(r)
             total += arrangements
         assert total == count_compositions_oracle(i), i
+
+
+def _small_targets():
+    """Every target with |i| <= 7 and arity <= 3."""
+    for arity in range(1, 4):
+        for i in product(range(8), repeat=arity):
+            if 1 <= sum(i) <= 7:
+                yield i
+
+
+def test_mip_order_is_strictly_decreasing():
+    for i in _small_targets():
+        seqs = [m.expanded() for m in enumerate_multiindex_partitions(i)]
+        assert all(a > b for a, b in zip(seqs, seqs[1:])), i
+
+
+def test_mip_walk_coefficient_is_subdivision_coefficient():
+    for i in _small_targets():
+        for cols, mults, coef in _mip_walk(i):
+            assert coef == subdivision_coefficient(MultiIndexPartition(cols, mults)), (i, cols)
 
 
 def test_subdivision_coefficient_examples():
