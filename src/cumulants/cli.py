@@ -193,10 +193,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except CumulantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CumulantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,6 +22,7 @@ from itertools import combinations, product
 from .errors import DimensionError, MalformedMatrixError, ParseError
 from .linalg import integer_rank, nullspace_basis
 from .partitions import MultiIndex, MultiIndexPartition, SetPartition, _check_ground_set
+from .partitions import _check_multi_index
 
 Column = tuple[int, ...]
 
@@ -187,8 +188,7 @@ class VariableLabeling:
     target: MultiIndex
 
     def __post_init__(self):
-        if any(e < 0 for e in self.target):
-            raise ValueError("negative entry in target")
+        object.__setattr__(self, "target", _check_multi_index(self.target))
         if sum(self.target) < 1:
             raise ValueError("target must have positive order")
 
@@ -209,12 +209,14 @@ class VariableLabeling:
 
     def interval(self, k: int) -> range:
         """Positions mapped to variable k (1-based, possibly empty)."""
+        if not 1 <= k <= self.arity:
+            raise DimensionError(f"variable {k} outside 1..{self.arity}")
         b = self.bounds()
         return range(b[k - 1] + 1, b[k] + 1)
 
 
 def labeling_rule(i) -> VariableLabeling:
-    return VariableLabeling(tuple(int(e) for e in i))
+    return VariableLabeling(tuple(i))
 
 
 def to_dummy_indicator(mip: MultiIndexPartition) -> IndicatorMatrix:
@@ -259,42 +261,36 @@ def indicator_preimages(
 ) -> list[IndicatorMatrix]:
     """All indicator matrices that collapse to ``mip`` under ``labeling``.
 
-    Built by distributing each variable's dummy positions among the expanded
-    columns with the prescribed counts; permutations of equal columns would
-    duplicate matrices, so results are deduplicated.  The count equals the
+    Blocks are opened in order of their least position: the least free
+    position takes one remaining column of ``mip`` that has its variable, and
+    the column's other entries are chosen among the free positions of each
+    variable.  So each matrix is built once, and the count is the
     subdivision coefficient of ``mip``.
     """
     if mip.target != labeling.target:
         raise DimensionError("labeling target differs from partition target")
     _check_ground_set(labeling.positions)
-    cols = mip.expanded()
-    bounds = labeling.bounds()
-    per_interval: list[list[tuple[tuple[int, ...], ...]]] = []
-    for k in range(labeling.arity):
-        slots = tuple(range(bounds[k] + 1, bounds[k + 1] + 1))
-        counts = [col[k] for col in cols]
-        choices: list[tuple[tuple[int, ...], ...]] = []
-
-        def rec(avail: tuple[int, ...], qi: int, acc: tuple[tuple[int, ...], ...]):
-            if qi == len(counts):
-                choices.append(acc)
-                return
-            c = counts[qi]
-            if c == 0:
-                rec(avail, qi + 1, acc + ((),))
-                return
-            for chosen in combinations(avail, c):
-                rest = tuple(s for s in avail if s not in chosen)
-                rec(rest, qi + 1, acc + (chosen,))
-
-        rec(slots, 0, ())
-        per_interval.append(choices)
     p = labeling.positions
-    seen: set[tuple[Column, ...]] = set()
-    for combo in product(*per_interval):
-        vecs = [
-            _block_indicator([t for dist in combo for t in dist[q]], p)
-            for q in range(len(cols))
-        ]
-        seen.add(tuple(sorted(vecs, reverse=True)))
-    return [IndicatorMatrix(p, key) for key in sorted(seen, reverse=True)]
+    var = {t: k for k in range(labeling.arity) for t in labeling.interval(k + 1)}
+    left = list(mip.multiplicities)
+    found: list[tuple[Column, ...]] = []
+
+    def walk(free: tuple[int, ...], blocks: tuple[Column, ...]) -> None:
+        if not free:
+            found.append(blocks)
+            return
+        t, rest = free[0], free[1:]
+        for j, col in enumerate(mip.columns):
+            if not left[j] or not col[var[t]]:
+                continue
+            need = [e - (k == var[t]) for k, e in enumerate(col)]
+            picks = [combinations([s for s in rest if var[s] == k], e) for k, e in enumerate(need)]
+            left[j] -= 1
+            for chosen in product(*picks):
+                block = {t}.union(*chosen)
+                column = _block_indicator(block, p)
+                walk(tuple(s for s in rest if s not in block), blocks + (column,))
+            left[j] += 1
+
+    walk(tuple(range(1, p + 1)), ())
+    return [IndicatorMatrix(p, key) for key in sorted(found, reverse=True)]

@@ -10,7 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import dropwhile, product, takewhile
-from operator import mul, sub
+from operator import index, mul, sub
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -344,7 +344,13 @@ def multi_index_factorial(i: MultiIndex) -> int:
 
 
 def _check_multi_index(i) -> MultiIndex:
-    i = tuple(int(e) for e in i)
+    i = tuple(i)
+    if any(isinstance(e, bool) for e in i):
+        raise ValueError(f"multi-index entries must be integers, got {i}")
+    try:
+        i = tuple(map(index, i))
+    except TypeError as exc:
+        raise ValueError(f"multi-index entries must be integers, got {i}") from exc
     if any(e < 0 for e in i):
         raise ValueError(f"negative entry in multi-index {i}")
     return i

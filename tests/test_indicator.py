@@ -1,6 +1,8 @@
 """Indicator matrices, span intersections and the dummy-variable transforms."""
 
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -195,6 +197,9 @@ def test_labeling_rule_intervals():
     assert list(lab.interval(1)) == [1]
     assert list(lab.interval(2)) == [2, 3]
     assert list(lab.interval(3)) == [4, 5]
+    for k in (0, 4):
+        with pytest.raises(DimensionError):
+            lab.interval(k)
 
 
 def test_labeling_rule_empty_interval():
@@ -258,14 +263,26 @@ def test_preimage_single_column():
 
 
 def test_preimage_counts_match_subdivision_coefficient():
-    targets = positive_targets(5) + [(2, 0, 2), (1, 0, 3)]
+    """Every positive target with |i| <= 5, and every target with |i| <= 6 and arity <= 3."""
+    small = {i for a in range(1, 4) for i in product(range(7), repeat=a) if 1 <= sum(i) <= 6}
+    targets = sorted(small | set(positive_targets(5)))
     for i in targets:
         lab = labeling_rule(i)
         for mip in enumerate_multiindex_partitions(i):
             pre = indicator_preimages(mip, lab)
+            assert all(a.columns > b.columns for a, b in zip(pre, pre[1:])), mip
             assert len(pre) == subdivision_coefficient(mip), mip
             for mat in pre:
                 assert collapse_indicator(mat, lab) == mip
+
+
+def test_preimages_of_repeated_columns_are_fast():
+    for text, count in (("1^12", 1), ("1,0^6|0,1^6", 1), ("2^6", 10395)):
+        mip = MultiIndexPartition.parse(text)
+        start = time.perf_counter()
+        got = indicator_preimages(mip, labeling_rule(mip.target))
+        assert time.perf_counter() - start < 2.0, text
+        assert len(got) == count, text
 
 
 def test_preimage_distinct_unit_columns_is_singleton():

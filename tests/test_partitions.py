@@ -12,13 +12,18 @@ from cumulants import (
     IntegerPartition,
     MultiIndexPartition,
     ParseError,
+    SampleMatrix,
     SetPartition,
+    VariableLabeling,
     bell_number,
     block_type,
     enumerate_multiindex_partitions,
     enumerate_partitions,
     is_complementary,
     join,
+    labeling_rule,
+    moments_to_cumulants,
+    power_sum,
     subdivision_coefficient,
 )
 from cumulants.partitions import _mip_walk
@@ -316,6 +321,24 @@ def test_constructor_rejects_bool_elements():
         SetPartition(2, [(True,), (2,)])
     with pytest.raises(ValueError):
         SetPartition(2, [(1, False)])
+
+
+def test_multi_index_entries_must_be_integers():
+    data = SampleMatrix.from_rows([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    for bad in ((0.5, 0), (True, 0), (1, False)):
+        with pytest.raises(ValueError, match="integers"):
+            power_sum(data, bad)
+    with pytest.raises(ValueError, match="integers"):
+        MultiIndexPartition.from_columns([(1.5, 0), (0, 1)])
+    with pytest.raises(ValueError, match="integers"):
+        moments_to_cumulants((1.5,))
+    with pytest.raises(ValueError, match="integers"):
+        labeling_rule((1.5, 2))
+    with pytest.raises(ValueError, match="integers"):
+        VariableLabeling((2, 0.5))
+    with pytest.raises(ValueError, match="negative entry"):
+        moments_to_cumulants((2, -1))
+    assert power_sum(data, (1, 0)) == 9
 
 
 # --- multi-index partitions --------------------------------------------------------
