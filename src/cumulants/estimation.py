@@ -5,18 +5,22 @@ sums S_t = sum_l prod_j X_{j,l}^{t_j}.  Coefficients are integer polynomials
 in N over a falling-factorial denominator N(N-1)...(N-r+1), where r is the
 largest number of power-sum factors in any monomial.
 
+A sample is stored by column, one ``array('d')`` per variable.  ``load_csv``
+parses plain CSV text in chunks straight into those arrays and falls back to
+a cell-by-cell reader, which locates errors, on anything else.
+
 Evaluation is exact as well: every finite float is an integer times a power
-of two, so each column is scaled to integers, the power sums are exact
-rationals, and the estimate is the exact rational value of the expression on
-the sample, rounded to a float once at the end.  No digits are lost to
-cancellation, even on data with a large offset.
+of two, so each column is converted to integers once per sample, the power
+sums are exact rationals, and the estimate is the exact rational value of the
+expression on the sample, rounded to a float once at the end.  No digits are
+lost to cancellation, even on data with a large offset.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from array import array
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import chain, repeat
@@ -221,19 +225,15 @@ class PowerSumPolynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SampleMatrix:
     """N observations (rows) of n real variables (columns); entries are finite
-    floats (``from_rows`` converts)."""
+    floats (``from_rows`` converts).  The sample is stored by column, one
+    ``array('d')`` per variable, and ``rows`` is a view built on demand; each
+    column is converted to exact integers once, on first use by ``power_sum``."""
 
-    rows: tuple[tuple[float, ...], ...]
-    names: tuple[str, ...] | None = None
-    _shifts: dict[int, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    __slots__ = ("columns", "names", "_ints")
 
-    def __post_init__(self):
-        rows = self.rows
+    def __init__(self, rows, names=None):
         if not rows or not rows[0]:
             raise ValueError("need at least one row and one column")
         width = len(rows[0])
@@ -242,16 +242,30 @@ class SampleMatrix:
                 (r, row) for r, row in enumerate(rows, start=1) if len(row) != width
             )
             raise ValueError(f"row {r} has {len(row)} columns, expected {width}")
-        if not all(map(math.isfinite, chain.from_iterable(rows))):
+        self._adopt(tuple(array("d", column) for column in zip(*rows)), names)
+
+    @classmethod
+    def _from_columns(cls, columns, names) -> "SampleMatrix":
+        data = cls.__new__(cls)
+        data._adopt(columns, names)
+        return data
+
+    def _adopt(self, columns: tuple[array, ...], names) -> None:
+        if not columns or not columns[0]:
+            raise ValueError("need at least one row and one column")
+        if not all(map(math.isfinite, chain.from_iterable(columns))):
             r, c = next(
                 (r, c)
-                for r, row in enumerate(rows, start=1)
+                for r, row in enumerate(zip(*columns), start=1)
                 for c, x in enumerate(row, start=1)
                 if not math.isfinite(x)
             )
             raise ValueError(f"non-finite entry at row {r}, column {c}")
-        if self.names is not None and len(self.names) != width:
-            raise ValueError(f"{len(self.names)} names for {width} columns")
+        if names is not None and len(names) != len(columns):
+            raise ValueError(f"{len(names)} names for {len(columns)} columns")
+        self.columns = columns
+        self.names = names
+        self._ints = _Memo(partial(_integer_column, columns))
 
     @classmethod
     def from_rows(cls, rows, names=None) -> "SampleMatrix":
@@ -259,88 +273,115 @@ class SampleMatrix:
                    tuple(names) if names else None)
 
     @property
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(zip(*self.columns))
+
+    @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0])
 
     @property
     def num_cols(self) -> int:
-        return len(self.rows[0])
+        return len(self.columns)
 
-    def shift(self, j: int) -> int:
-        """The least k >= 0 such that every entry of column j times 2**k is an
-        integer, computed once per column.  A finite float's denominator is a
-        power of two, so k is the bit length of the largest one, less one."""
-        k = self._shifts.get(j)
-        if k is None:
-            column = map(itemgetter(j), self.rows)
-            denominators = map(itemgetter(1), map(float.as_integer_ratio, column))
-            k = self._shifts[j] = max(denominators).bit_length() - 1
-        return k
+
+def _integer_column(columns, j: int) -> tuple[int, list[int]]:
+    """The least k >= 0 such that every entry x of column j times 2**k is an
+    integer, and those integers x * 2**k.  A finite float's denominator is a
+    power of two, so k is the bit length of the largest one, less one."""
+    column = columns[j]
+    k = max(map(itemgetter(1), map(float.as_integer_ratio, column))).bit_length() - 1
+    try:
+        return k, list(map(int, map(math.ldexp, column, repeat(k))))
+    except OverflowError:  # some scaled entry is beyond the float range
+        ratios = map(float.as_integer_ratio, column)
+        return k, [n << (k + 1 - d.bit_length()) for n, d in ratios]
+
+
+#: ``load_csv`` reads its data lines in chunks of about this many characters.
+_CHUNK = 1 << 16
 
 
 def load_csv(path, has_header: bool = False) -> SampleMatrix:
     """Read a rectangular CSV of finite numbers in UTF-8; parse errors carry
     row/column coordinates.
 
-    Unquoted cells are parsed to floats by the CSV reader itself and the rows
-    are checked in bulk.  A file that fails this (quoted numbers, or any
-    error) is read again cell by cell, which reports where the error is.
+    The data lines are read in chunks of about 64 KiB.  Each chunk is split on
+    commas and its cells are parsed by ``float`` straight into the column
+    arrays, so neither row tuples nor the whole text are held.  A file that
+    has quotes, ragged or over-long lines, a cell that is not a finite number,
+    or any decoding error is read again by the cell-by-cell reader, which
+    reports where the error is.
     """
+    try:
+        return _load_csv_columns(path, has_header)
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        return _load_csv_cells(path, has_header)
+
+
+def _load_csv_columns(path, has_header: bool) -> SampleMatrix:
+    """``load_csv``'s plain path; raises ``ValueError`` on what it cannot read."""
     names = None
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            if has_header:
-                header = next(filter(None, csv.reader(fh)), ())
-                names = tuple(cell.strip() for cell in header)
-            records = csv.reader(fh, quoting=csv.QUOTE_NONNUMERIC)
-            rows = tuple(map(tuple, filter(None, records)))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    except csv.Error as exc:
-        raise ParseError(f"{path} is not a valid CSV file: {exc}") from None
-    except ValueError:
-        return _load_csv_cells(path, has_header)
-    if not rows:
-        raise ParseError("no data rows")
-    try:
-        return SampleMatrix(rows, names)
-    except (TypeError, ValueError):
-        return _load_csv_cells(path, has_header)
+    columns: list[array] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        if has_header:
+            header = next(filter(None, csv.reader(fh)), ())
+            names = tuple(cell.strip() for cell in header)
+            columns = [array("d") for _ in names]
+        while lines := fh.readlines(_CHUNK):
+            rows = [row for row in map(str.rstrip, lines, repeat("\r\n")) if row]
+            if not rows:
+                continue
+            if not columns:
+                columns = [array("d") for _ in range(rows[0].count(",") + 1)]
+            width = len(columns)
+            if (max(map(len, rows)) > csv.field_size_limit()
+                    or set(map(str.count, rows, repeat(","))) != {width - 1}):
+                raise ValueError("not a plain CSV chunk")
+            cells = array("d", map(float, ",".join(rows).split(",")))  # refuses quotes
+            for j, column in enumerate(columns):
+                column.extend(cells[j::width])
+    return SampleMatrix._from_columns(tuple(columns), names)
 
 
 def _load_csv_cells(path, has_header: bool) -> SampleMatrix:
     """``load_csv`` one cell at a time, raising the ``ParseError`` of the first
-    ragged row, non-numeric cell or non-finite cell."""
+    ragged row, non-numeric cell, non-finite cell or CSV error."""
     names = None
     width = None
     rows: list[tuple[float, ...]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record:
-                continue
-            if width is None:
-                width = len(record)
-                if has_header:
-                    names = tuple(cell.strip() for cell in record)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for lineno, record in enumerate(csv.reader(fh), start=1):
+                if not record:
                     continue
-            if len(record) != width:
-                raise ParseError(
-                    f"row {lineno} has {len(record)} fields, expected {width}"
-                )
-            vals = []
-            for col, cell in enumerate(record, start=1):
-                try:
-                    x = float(cell)
-                except ValueError:
+                if width is None:
+                    width = len(record)
+                    if has_header:
+                        names = tuple(cell.strip() for cell in record)
+                        continue
+                if len(record) != width:
                     raise ParseError(
-                        f"non-numeric value {cell.strip()!r} at row {lineno}, column {col}"
-                    ) from None
-                if not math.isfinite(x):
-                    raise ParseError(
-                        f"non-finite value {cell.strip()!r} at row {lineno}, column {col}"
+                        f"row {lineno} has {len(record)} fields, expected {width}"
                     )
-                vals.append(x)
-            rows.append(tuple(vals))
+                vals = []
+                for col, cell in enumerate(record, start=1):
+                    try:
+                        x = float(cell)
+                    except ValueError:
+                        raise ParseError(
+                            f"non-numeric value {cell.strip()!r} at row {lineno}, column {col}"
+                        ) from None
+                    if not math.isfinite(x):
+                        raise ParseError(
+                            f"non-finite value {cell.strip()!r} at row {lineno}, column {col}"
+                        )
+                    vals.append(x)
+                rows.append(tuple(vals))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path} is not a valid CSV file: {exc}") from None
     if not rows:
         raise ParseError("no data rows")
     return SampleMatrix(tuple(rows), names)
@@ -349,42 +390,19 @@ def _load_csv_cells(path, has_header: bool) -> SampleMatrix:
 def power_sum(data: SampleMatrix, t) -> Fraction:
     """S_t = sum over rows of the product of entries raised to t, with 0^0 = 1.
 
-    The sum is exact: each active column j is streamed as the integers
-    x * 2**k_j (``SampleMatrix.shift``), their powers and products are summed
-    as integers, and the total is divided by 2**(sum_j k_j t_j).
+    The sum is exact: each active column j is held as the integers x * 2**k_j
+    (converted once per sample), their powers and products are summed as
+    integers, and the total is divided by 2**(sum_j k_j t_j).
     """
     t = _check_multi_index(t)
     if len(t) != data.num_cols:
         raise DimensionError(f"label arity {len(t)} != {data.num_cols} columns")
-    active = [(j, e, data.shift(j)) for j, e in enumerate(t) if e]
+    active = [(data._ints[j], e) for j, e in enumerate(t) if e]
     if not active:
         return Fraction(data.num_rows)
-    try:
-        total = _integer_power_sum(data.rows, active, _ldexp_ints)
-    except OverflowError:  # some scaled entry is beyond the float range
-        total = _integer_power_sum(data.rows, active, _ratio_ints)
-    return Fraction(total, 1 << sum(k * e for _, e, k in active))
-
-
-def _integer_power_sum(rows, active, to_ints) -> int:
-    """Sum over rows of prod_j (x_j * 2**k_j)**e_j, streamed column by column
-    through C-level ``map`` stages, so no column is held in a list."""
-    streams = []
-    for j, e, k in active:
-        ints = to_ints(map(itemgetter(j), rows), k)
-        streams.append(ints if e == 1 else map(pow, ints, repeat(e)))
-    return sum(reduce(partial(map, mul), streams))
-
-
-def _ldexp_ints(column, k: int):
-    return map(int, map(math.ldexp, column, repeat(k)))
-
-
-def _ratio_ints(column, k: int):
-    """The integers of ``_ldexp_ints``, built from each entry's exact ratio
-    n / d, so they may exceed the float range."""
-    ratios = map(float.as_integer_ratio, column)
-    return (n << (k + 1 - d.bit_length()) for n, d in ratios)
+    streams = [ints if e == 1 else map(pow, ints, repeat(e)) for (_, ints), e in active]
+    total = sum(reduce(partial(map, mul), streams))
+    return Fraction(total, 1 << sum(k * e for (k, _), e in active))
 
 
 def distinct_index_expansion(factors) -> PowerSumPolynomial:

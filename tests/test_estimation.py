@@ -113,6 +113,19 @@ def test_power_sum_wide_range_column_stays_exact():
         assert power_sum(data, t) == want, t
 
 
+def test_power_sum_cached_integer_columns_stay_exact():
+    # 1e300 scaled by the 2**1074 that 5e-324 needs is beyond the float range,
+    # so the first column is converted through the exact ratios
+    rows = [[1e300, 3.0], [-1e300, -0.5], [5e-324, 1e-10], [-0.0, 7.25]]
+    data = SampleMatrix.from_rows(rows)
+    labels = [(e, f) for e in (1, 2, 3) for f in (0, 1, 2)]
+    first = [power_sum(data, t) for t in labels]
+    for t, got in zip(labels, first):
+        want = sum(Fraction(a) ** t[0] * Fraction(b) ** t[1] for a, b in rows)
+        assert got == want, t
+    assert [power_sum(data, t) for t in labels] == first
+
+
 def test_power_sum_arity_mismatch():
     with pytest.raises(DimensionError):
         power_sum(DATA_2X2, (1, 0, 0))
@@ -148,13 +161,14 @@ def test_distinct_index_triple():
 def brute_distinct_average(data, factors):
     r = len(factors)
     n_obs = data.num_rows
+    data_rows = data.rows
     total = 0.0
     for rows in permutations(range(n_obs), r):
         prod = 1.0
         for a, l in zip(factors, rows):
             for j, e in enumerate(a):
                 if e:
-                    prod *= data.rows[l][j] ** e
+                    prod *= data_rows[l][j] ** e
         total += prod
     den = 1
     for j in range(r):
@@ -515,6 +529,33 @@ def test_load_csv_quoted_numbers(tmp_path):
     data = load_csv(path, has_header=True)
     assert data.names == ("x1", "x2")
     assert data.rows == ((1.0, 2.5), (3.0, 4.0))
+
+
+@pytest.mark.parametrize("content, has_header, rows, names", [
+    (b"1,2\r\n3,4\r\n", False, ((1.0, 2.0), (3.0, 4.0)), None),
+    (b"1,2\n\n3,4\n", False, ((1.0, 2.0), (3.0, 4.0)), None),
+    (b"1,2\n3,4", False, ((1.0, 2.0), (3.0, 4.0)), None),
+    (b'"x1","x2"\n1,2\n3,4\n', True, ((1.0, 2.0), (3.0, 4.0)), ("x1", "x2")),
+], ids=["crlf", "blank-line", "no-final-newline", "quoted-header"])
+def test_load_csv_accepts(tmp_path, content, has_header, rows, names):
+    path = tmp_path / "d.csv"
+    path.write_bytes(content)
+    data = load_csv(path, has_header=has_header)
+    assert data.rows == rows and data.names == names
+
+
+@pytest.mark.parametrize("content, has_header, message", [
+    (b"1,2\n3,\x004\n", False, "row 2, column 2"),
+    (b"1,2\n3,0." + b"0" * 200_000 + b"1\n", False, "field larger than field limit"),
+    (b"x1,x2\n", True, "no data rows"),
+    (b"1,2\n  \n3,4\n", False, "row 2 has 1 fields"),
+], ids=["nul", "oversized-finite-field", "header-only", "whitespace-line"])
+def test_load_csv_rejects(tmp_path, content, has_header, message):
+    path = tmp_path / "d.csv"
+    path.write_bytes(content)
+    with pytest.raises(ParseError) as err:
+        load_csv(path, has_header=has_header)
+    assert message in str(err.value)
 
 
 def test_load_csv_empty(tmp_path):
