@@ -81,6 +81,16 @@ class Polynomial:
         self.terms = {key: c for key, c in terms.items() if c} if terms else {}
 
     @classmethod
+    def _from_terms(cls, arity: int, terms: dict[Term, int]) -> "Polynomial":
+        """Trusted constructor of a ``kappa`` polynomial: takes ``terms`` as it
+        is, so it must be a fresh dict without a zero coefficient."""
+        self = object.__new__(cls)
+        self.arity = arity
+        self.symbol = "kappa"
+        self.terms = terms
+        return self
+
+    @classmethod
     def zero(cls, arity: int, symbol: str = "kappa") -> "Polynomial":
         return cls(arity, {}, symbol)
 
@@ -178,14 +188,19 @@ class Polynomial:
         """``{"terms": [{"coeff": c, "factors": [[1, 0], ...]}, ...]}``, terms in
         decreasing key order, each factor written out as often as its power.
         The text equals ``json.dumps`` of that structure; each factor's
-        fragment is dumped once."""
+        fragment is dumped once, and the text is copied out of its items once:
+        the header and footer ride on the first and last item."""
         frag = _Memo(lambda f: ", ".join([json.dumps(list(f[0]))] * f[1]))
         terms = self.terms
         items = [
             f'{{"coeff": {terms[key]}, "factors": [{", ".join(map(frag.__getitem__, key))}]}}'
             for key in sorted(terms, reverse=True)
         ]
-        return f'{{"terms": [{", ".join(items)}]}}'
+        if not items:
+            return '{"terms": []}'
+        items[0] = '{"terms": [' + items[0]
+        items[-1] += "]}"
+        return ", ".join(items)
 
     def __str__(self) -> str:
         return self.pretty()
@@ -235,7 +250,7 @@ def generalized_cumulant(p: SetPartition) -> Polynomial:
     block's 0/1 indicator multi-index.  All coefficients are 1.
     """
     term = _partition_key_term(p.n)
-    return Polynomial(p.n, dict.fromkeys(map(term, _twoblock_keys(p)), 1))
+    return Polynomial._from_terms(p.n, dict.fromkeys(map(term, _twoblock_keys(p)), 1))
 
 
 def generalized_cumulant_subtractive(p: SetPartition) -> Polynomial:
@@ -277,7 +292,7 @@ def generalized_multivariate_cumulant(mip: MultiIndexPartition) -> Polynomial:
     for key in _twoblock_keys(dummy):
         collapsed = _term(map(collapse.__getitem__, key))
         terms[collapsed] = terms.get(collapsed, 0) + 1
-    return Polynomial(mip.arity, terms, "kappa")
+    return Polynomial._from_terms(mip.arity, terms)
 
 
 def generalized_multivariate_cumulant_subtractive(mip: MultiIndexPartition) -> Polynomial:

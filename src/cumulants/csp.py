@@ -18,7 +18,8 @@ Every algorithm returns the same set, ordered by the cr2 text key:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
+from operator import not_
 from time import perf_counter
 from typing import Iterator
 
@@ -52,119 +53,149 @@ class CspResult:
     elapsed: float
 
 
-def _finish(p: SetPartition, name: str, keys, t0: float) -> CspResult:
-    keys = sorted(keys, key=_text_key())
+def _result(p: SetPartition, name: str, keys, t0: float) -> CspResult:
     parts = tuple(SetPartition._from_key(p.n, k) for k in keys)
     return CspResult(p, name, parts, perf_counter() - t0)
 
 
-def _set_bits(x: int) -> tuple[int, ...]:
-    """Positions of the set bits of ``x``, increasing."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return tuple(out)
+def _finish(p: SetPartition, name: str, keys, t0: float) -> CspResult:
+    return _result(p, name, sorted(keys, key=_text_key()), t0)
 
 
-def _iter_block_masks(elements):
-    """Block masks (bit e set for element e) of every partition of ``elements``.
+#: The two-block walk reads a remainder of at most this many elements from
+#: the memo and walks a larger one a block further down.  The memo then holds
+#: at most the sum over k <= 6 of C(n-1, k) Bell(k) keys, 124,000 at n = 12;
+#: on [10], bounds from 3 to 8 ran no faster.
+_MEMO_MAX = 6
 
-    Knuth's restricted-growth walk (TAOCP 4A, 7.2.1.5, Algorithm H) with the
-    masks maintained incrementally: a step only touches the changed suffix,
-    amortized O(1) positions.  Blocks come in order of first occurrence, which
-    is cr2 order when ``elements`` is sorted.
+
+class _Lattice:
+    """Partition lattices of element sets held as bitmasks (bit e for element
+    e), memoized for the length of one listing.
+
+    A partition's code gives each element e the base-(n+1) digit of its
+    block's least element at place e-1, so distinct partitions get distinct
+    codes below (n+1)^n, a machine-size integer, and partitions of disjoint
+    sets glue by addition.  Only sets without element 1 have their lattices
+    memoized; a set holding 1 is glued from its blocks holding 1 and the
+    memoized lattices of the remainders.
+
+    Every list is in cr2 text order.  Two partitions of a set first differ in
+    their blocks holding its least element, and those blocks compare as their
+    element tokens do, with a block that another one extends coming after it
+    (``,`` sorts before ``|``).  Up to ``MAX_GROUND_SET`` = 12 no token but
+    ``1`` is a prefix of another, and 1 leads every comparison in which it
+    occurs, so the blocks come out of a post-order walk of the extensions
+    whose children come in token order: ``10`` before ``2``.
     """
-    bits = [1 << e for e in elements]
-    n = len(bits)
-    rgs = [0] * n
-    maxi = [0] * n
-    masks = [0] * (n + 1)
-    masks[0] = sum(bits)
-    last = n - 1
-    while True:
-        yield masks[: maxi[last] + 1]
-        j = last
-        while j > 0 and rgs[j] == maxi[j - 1] + 1:
-            j -= 1
-        if j == 0:
-            return
-        gj = rgs[j]
-        bj = bits[j]
-        masks[gj] ^= bj
-        masks[gj + 1] |= bj
-        rgs[j] = gj + 1
-        for t in range(j + 1, n):
-            gt = rgs[t]
-            if gt:
-                bt = bits[t]
-                masks[gt] ^= bt
-                masks[0] |= bt
-                rgs[t] = 0
-        mj = maxi[j - 1] if maxi[j - 1] >= gj + 1 else gj + 1
-        for t in range(j, n):
-            maxi[t] = mj
 
+    __slots__ = ("weight", "order", "blocks", "codes", "keys")
 
-def _code(masks) -> int:
-    """Partition code: 1 << mask summed over the blocks.  Distinct partitions
-    get distinct codes, and partitions of disjoint sets glue by addition."""
-    code = 0
-    for mask in masks:
-        code += 1 << mask
-    return code
+    def __init__(self, n: int):
+        self.weight = [0] + [(n + 1) ** e for e in range(n)]
+        self.order = sorted(range(2, n + 1), key=str)
+        self.blocks: dict[int, list] = {}
+        self.codes: dict[int, list[int]] = {0: [0]}
+        self.keys: dict[int, list[Blocks]] = {0: [()]}
 
+    def first_blocks(self, s: int) -> list[tuple[int, int, Blocks]]:
+        """(mask, weight, head) of each block of ``s`` holding its least
+        element e, in cr2 text order; the block's code is e * weight, head is
+        the one-block key.  The walk's top sets, which hold 1, are not kept."""
+        out = self.blocks.get(s)
+        if out is None:
+            low = s & -s
+            e = low.bit_length() - 1
+            w = self.weight[e]
+            rest = s ^ low
+            out = []
+            for f in self.order:
+                if rest >> f & 1:
+                    out.extend(
+                        (mask | low, w + v, ((e,) + head[0],))
+                        for mask, v, head in self.first_blocks(rest & -(1 << f))
+                    )
+            out.append((low, w, ((e,),)))
+            if e != 1:
+                self.blocks[s] = out
+        return out
 
-def _two_block_excluded_codes(blocks: Blocks) -> set[int]:
-    """Code-keyed set of the partitions built from every two-block split: each
-    side of a split is partitioned independently and the two halves are glued.
-    A glued partition's code is the sum of the side codes, so every pair costs
-    one integer addition.  Overlapping splits produce the same partition,
-    hence the set."""
-    m = len(blocks)
-    excluded: set[int] = set()
-    add = excluded.add
-    for s in range(1, 1 << (m - 1)):
-        side2 = []
-        side1 = [blocks[0]]
-        for j in range(1, m):
-            (side2 if (s >> (j - 1)) & 1 else side1).append(blocks[j])
-        a1 = [e for b in side1 for e in b]
-        a2 = [e for b in side2 for e in b]
-        if len(a1) < len(a2):
-            a1, a2 = a2, a1
-        inner = [_code(masks) for masks in _iter_block_masks(a2)]
-        for masks in _iter_block_masks(a1):
-            c1 = _code(masks)
-            for c2 in inner:
-                add(c1 + c2)
-    return excluded
+    def lattice_codes(self, s: int) -> list[int]:
+        """Codes of the partitions of ``s``, a set without 1."""
+        out = self.codes.get(s)
+        if out is None:
+            e = (s & -s).bit_length() - 1
+            out = []
+            for mask, w, _ in self.first_blocks(s):
+                out.extend(map((e * w).__add__, self.lattice_codes(s ^ mask)))
+            self.codes[s] = out
+        return out
+
+    def lattice_keys(self, s: int) -> list[Blocks]:
+        """cr2 keys of the partitions of ``s``, a set without 1, in the order
+        of ``lattice_codes``."""
+        out = self.keys.get(s)
+        if out is None:
+            out = []
+            for mask, _, head in self.first_blocks(s):
+                out.extend(map(head.__add__, self.lattice_keys(s ^ mask)))
+            self.keys[s] = out
+        return out
 
 
 def _twoblock_keys(p: SetPartition) -> Iterator[Blocks]:
-    """Yield the cr2 keys of the partitions complementary to ``p``, in walk
+    """Yield the cr2 keys of the partitions complementary to ``p`` in cr2 text
     order: the full lattice minus the partitions generated from two-block
-    splits.  The bound check runs at the first ``next()``."""
-    _check_ground_set(p.n)
-    excluded = _two_block_excluded_codes(p.cr2_key())
-    block_of: dict[int, tuple[int, ...]] = {}
-    for masks in _iter_block_masks(range(1, p.n + 1)):
-        if _code(masks) in excluded:
+    splits.  The bound check runs at the first ``next()``.
+
+    Each split of the blocks into a side holding 1 and a side without it
+    excludes every partition glued from one partition of each side; the
+    smaller side's lattice is the one iterated.  The walk over [n] streams
+    blocks from the top while the remainder has more than
+    min(n - 2, ``_MEMO_MAX``) elements, then reads the remainder's codes and
+    keys from the memo, so survivors come out in cr2 text order."""
+    n = p.n
+    _check_ground_set(n)
+    lat = _Lattice(n)
+    full = (2 << n) - 2
+    masks = [sum(1 << e for e in b) for b in p.cr2_key()[1:]]
+    excluded: set[int] = set()
+    update = excluded.update
+    for s in range(1, 1 << len(masks)):
+        side2 = 0
+        for j, mask in enumerate(masks):
+            if s >> j & 1:
+                side2 |= mask
+        side1 = full ^ side2
+        inner = lat.lattice_codes(side2)
+        outer = []
+        for mask, w, _ in lat.first_blocks(side1):
+            outer.extend(map(w.__add__, lat.lattice_codes(side1 ^ mask)))
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        for code in outer:
+            update(map(code.__add__, inner))
+    small = min(max(n - 2, 0), _MEMO_MAX)
+    stack = [((), 0, full)]
+    while stack:
+        head, code, s = stack.pop()
+        if s.bit_count() > small:
+            e = (s & -s).bit_length() - 1
+            stack.extend(
+                (head + bh, code + e * w, s ^ mask)
+                for mask, w, bh in reversed(lat.first_blocks(s))
+            )
             continue
-        key = []
-        for mask in masks:
-            block = block_of.get(mask)
-            if block is None:
-                block = block_of[mask] = _set_bits(mask)
-            key.append(block)
-        yield tuple(key)
+        codes = map(code.__add__, lat.lattice_codes(s))
+        kept = map(not_, map(excluded.__contains__, codes))
+        yield from map(head.__add__, compress(lat.lattice_keys(s), kept))
 
 
 def csp_twoblock(p: SetPartition) -> CspResult:
-    """Full lattice minus the partitions generated from two-block splits."""
+    """Full lattice minus the partitions generated from two-block splits; the
+    walk lists them in order, so there is no sort."""
     t0 = perf_counter()
-    return _finish(p, "twoblock", _twoblock_keys(p), t0)
+    return _result(p, "twoblock", _twoblock_keys(p), t0)
 
 
 def _path_edges(blocks: Blocks) -> list[tuple[int, int]]:

@@ -285,15 +285,34 @@ class SampleMatrix:
         return len(self.columns)
 
 
+#: ``_integer_column`` guesses a column's shift from this many leading entries.
+_SHIFT_PROBE = 1000
+
+
+def _least_shift(values) -> int:
+    """The least k >= 0 such that every value times 2**k is an integer.  A
+    finite float's denominator is a power of two, so k is the bit length of
+    the largest one, less one."""
+    return max(map(itemgetter(1), map(float.as_integer_ratio, values))).bit_length() - 1
+
+
 def _integer_column(columns, j: int) -> tuple[int, list[int]]:
-    """The least k >= 0 such that every entry x of column j times 2**k is an
-    integer, and those integers x * 2**k.  A finite float's denominator is a
-    power of two, so k is the bit length of the largest one, less one."""
+    """The least shift k of column j and its integers x * 2**k.
+
+    k is guessed from the first ``_SHIFT_PROBE`` entries and confirmed on the
+    scaled column: when every scaled entry is an integer, no entry needs a
+    larger shift.  Otherwise k comes from every entry.  The scaled floats are
+    streamed twice rather than held, which would add a second list of the
+    column's length to the peak memory."""
     column = columns[j]
-    k = max(map(itemgetter(1), map(float.as_integer_ratio, column))).bit_length() - 1
+    k = probe = _least_shift(column[:_SHIFT_PROBE])
     try:
+        if not all(map(float.is_integer, map(math.ldexp, column, repeat(k)))):
+            k = _least_shift(column)
         return k, list(map(int, map(math.ldexp, column, repeat(k))))
     except OverflowError:  # some scaled entry is beyond the float range
+        if k == probe:  # the check overflowed before k was taken from every entry
+            k = _least_shift(column)
         ratios = map(float.as_integer_ratio, column)
         return k, [n << (k + 1 - d.bit_length()) for n, d in ratios]
 

@@ -1,6 +1,11 @@
 """The five complementary-partition algorithms against the join oracle."""
 
+import gc
+import random
 import time
+import tracemalloc
+from collections import deque
+from itertools import islice
 
 import pytest
 
@@ -23,7 +28,8 @@ from cumulants import (
     swap_transfer,
     to_indicator,
 )
-from cumulants.partitions import MAX_GROUND_SET
+from cumulants.csp import _twoblock_keys
+from cumulants.partitions import MAX_GROUND_SET, _iter_partition_keys, _text_key
 
 CSP_1_234 = {
     "12|3|4", "13|2|4", "14|2|3", "123|4", "124|3",
@@ -89,6 +95,77 @@ def test_complementarity_is_symmetric():
     for p in parts:
         for q in parts:
             assert (q in table[p]) == (p in table[q])
+
+
+# --- the two-block walk -------------------------------------------------------
+
+
+def _graph_keys(p):
+    return [q.cr2_key() for q in CSP_ALGORITHMS["graph"](p).complementary]
+
+
+def test_twoblock_walk_lists_in_text_order_up_to_n8():
+    rng = random.Random(14)
+    for n in range(1, 9):
+        one_per_type = {block_type(q): q for q in enumerate_partitions(n)}
+        for q in one_per_type.values():
+            label = rng.sample(range(1, n + 1), n)
+            p = SetPartition(n, [[label[e - 1] for e in b] for b in q.blocks])
+            assert list(_twoblock_keys(p)) == _graph_keys(p), p.render()
+
+
+@pytest.mark.parametrize("text", [
+    "1,4,10|2,5|3,6,8|7,9",
+    "1,10|2,3,4|5,6,7|8,9",
+    "1,5,9|2,6,10|3,7,11|4,8",
+    "2,10,11|1,3|4,5,6|7,8,9",
+])
+def test_twoblock_walk_orders_two_digit_elements_as_text(text):
+    p = SetPartition.parse(text)
+    assert list(_twoblock_keys(p)) == _graph_keys(p)
+
+
+def test_twoblock_walk_token_order_holds_up_to_the_bound():
+    # the walk orders a set's blocks by visiting elements in token order,
+    # which is the cr2 order only while no token but "1" is a prefix of
+    # another: raising MAX_GROUND_SET to 20 ("2" before "20") breaks it
+    tokens = [str(e) for e in range(2, MAX_GROUND_SET + 1)]
+    assert not [(a, b) for a in tokens for b in tokens if a != b and b.startswith(a)]
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_twoblock_walk_on_one_block_and_singletons(n):
+    one_block = SetPartition(n, [range(1, n + 1)])
+    lattice = sorted(_iter_partition_keys(range(1, n + 1)), key=_text_key())
+    assert list(_twoblock_keys(one_block)) == lattice
+    singletons = SetPartition(n, [(e,) for e in range(1, n + 1)])
+    assert list(_twoblock_keys(singletons)) == [(tuple(range(1, n + 1)),)]
+
+
+def test_twoblock_walk_frees_its_memo():
+    # with the collector off, a reference cycle would keep the memo alive;
+    # an untraced first walk fills the interpreter's tuple free lists, whose
+    # entries tracemalloc would count as still allocated
+    p = SetPartition.parse("1,4,7|2,5,8|3,6|9,10")
+    gc.disable()
+    deque(_twoblock_keys(p), 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        deque(_twoblock_keys(p), 0)
+        after_full = tracemalloc.get_traced_memory()[0] - base
+        walk = _twoblock_keys(p)
+        deque(islice(walk, 1000), 0)
+        walk.close()
+        del walk
+        after_close = tracemalloc.get_traced_memory()[0] - base
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak > 4 << 20
+    assert after_full < 1 << 20
+    assert after_close < 1 << 20
 
 
 @pytest.mark.parametrize(

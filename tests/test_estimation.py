@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from array import array
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -28,6 +29,7 @@ from cumulants import (
     power_sum,
     to_indicator,
 )
+from cumulants.estimation import _integer_column
 
 
 def mono(*labels):
@@ -124,6 +126,54 @@ def test_power_sum_cached_integer_columns_stay_exact():
         want = sum(Fraction(a) ** t[0] * Fraction(b) ** t[1] for a, b in rows)
         assert got == want, t
     assert [power_sum(data, t) for t in labels] == first
+
+
+def _assert_exact_integer_column(column):
+    k, ints = _integer_column([array("d", column)], 0)
+    assert k == max(Fraction(x).denominator.bit_length() - 1 for x in column)
+    assert [Fraction(v, 1 << k) for v in ints] == [Fraction(x) for x in column]
+
+
+def test_integer_column_finds_a_late_larger_shift():
+    # the first thousand entries need shift 1; only row 5000 needs 40
+    column = [(i % 9) - 3.5 for i in range(6000)]
+    column[5000] = 0.5 + 2.0 ** -40
+    _assert_exact_integer_column(column)
+
+
+@pytest.mark.parametrize("late", [False, True])
+def test_integer_column_overflowing_scale(late):
+    # 1e300 times the 2**1074 that 5e-324 needs is beyond the float range,
+    # whether 5e-324 is among the leading entries or not
+    column = [0.25 * i for i in range(3000)]
+    column[2500 if late else 10] = 5e-324
+    column[20] = 1e300
+    _assert_exact_integer_column(column)
+
+
+def test_integer_column_check_overflows_before_a_late_shift():
+    # the leading entries need shift 2, which already takes 1.7e308 past the
+    # float range, so the larger shift of row 2500 is never seen by the check
+    column = [0.25 * i for i in range(3000)]
+    column[20] = 1.7e308
+    column[2500] = 2.0 ** -30
+    _assert_exact_integer_column(column)
+
+
+def test_integer_column_subnormals():
+    column = [5e-324, -2.5e-320, 1e-310, 0.0, -0.0, 3.0, 2.0 ** -1022]
+    _assert_exact_integer_column(column * 300)
+    _assert_exact_integer_column([1.5] * 1500 + column)
+
+
+def test_power_sum_matches_fractions_past_the_shift_probe():
+    rng = random.Random(5000)
+    rows = [[rng.randrange(-512, 512) / 8, rng.random()] for _ in range(5000)]
+    rows[4321][0] = 3 + 2.0 ** -40
+    data = SampleMatrix.from_rows(rows)
+    for t in [(1, 0), (2, 0), (3, 1), (0, 2)]:
+        want = sum(Fraction(a) ** t[0] * Fraction(b) ** t[1] for a, b in rows)
+        assert power_sum(data, t) == want, t
 
 
 def test_power_sum_arity_mismatch():
