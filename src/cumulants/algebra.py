@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import product
+from typing import Iterator
 
 from .csp import _twoblock_keys
 from .errors import DimensionError
@@ -247,10 +248,34 @@ def generalized_cumulant(p: SetPartition) -> Polynomial:
 
     One term per complementary partition, listed by the two-block algorithm:
     the product of the joint cumulants of its blocks, each encoded by the
-    block's 0/1 indicator multi-index.  All coefficients are 1.
+    block's 0/1 indicator multi-index.  All coefficients are 1.  The walk
+    lists the terms in decreasing key order, the order they render in.
     """
     term = _partition_key_term(p.n)
-    return Polynomial._from_terms(p.n, dict.fromkeys(map(term, _twoblock_keys(p)), 1))
+    keys = _twoblock_keys(p, numeric=True)
+    return Polynomial._from_terms(p.n, dict.fromkeys(map(term, keys), 1))
+
+
+#: Terms per piece of ``_generalized_cumulant_json``.
+_JSON_CHUNK = 4096
+
+
+def _generalized_cumulant_json(p: SetPartition) -> Iterator[str]:
+    """``generalized_cumulant(p).to_json()`` in pieces of ``_JSON_CHUNK`` terms,
+    made from the walk's keys without the polynomial: the numeric walk lists
+    them in the JSON's term order, and each term has coefficient 1 and one
+    factor per block.  The walk ends, freeing its memo, before the first
+    piece, so a refused input yields nothing."""
+    keys = list(_twoblock_keys(p, numeric=True))
+    factor = _Memo(lambda b: json.dumps(list(_block_indicator(b, p.n)))).__getitem__
+    yield '{"terms": ['
+    for start in range(0, len(keys), _JSON_CHUNK):
+        text = ", ".join([
+            '{"coeff": 1, "factors": [' + ", ".join(map(factor, key)) + "]}"
+            for key in keys[start:start + _JSON_CHUNK]
+        ])
+        yield ", " + text if start else text
+    yield "]}"
 
 
 def generalized_cumulant_subtractive(p: SetPartition) -> Polynomial:

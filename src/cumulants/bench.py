@@ -114,9 +114,9 @@ def run_bench(types, reps: int) -> BenchReport:
         warm = {}
         for name in ALGORITHM_NAMES:
             warm[name] = CSP_ALGORITHMS[name](p)
-        reference = set(warm["twoblock"].complementary)
+        reference = warm["twoblock"].keys
         for name in ALGORITHM_NAMES:
-            got = set(warm[name].complementary)
+            got = warm[name].keys
             if got != reference:
                 raise AlgebraConsistencyError(
                     f"algorithm {name} disagrees on type {btype}: "

@@ -11,7 +11,11 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .algebra import generalized_cumulant, generalized_multivariate_cumulant
+from .algebra import (
+    _generalized_cumulant_json,
+    generalized_cumulant,
+    generalized_multivariate_cumulant,
+)
 from .csp import ALGORITHM_NAMES, CSP_ALGORITHMS
 from .errors import CumulantError
 from .estimation import (
@@ -98,7 +102,7 @@ def _cmd_partitions(args) -> int:
 def _cmd_csp(args) -> int:
     p = SetPartition.parse(args.partition)
     result = CSP_ALGORITHMS[args.algo](p)
-    texts = list(map(_render_key(p.n), (q.blocks for q in result.complementary)))
+    texts = list(map(_render_key(p.n), result.keys))
     if args.json:
         print(json.dumps({
             "input": p.render(),
@@ -120,7 +124,11 @@ def _print_polynomial(poly, as_json: bool) -> int:
 
 def _cmd_gencum(args) -> int:
     p = SetPartition.parse(args.partition)
-    return _print_polynomial(generalized_cumulant(p), args.json)
+    if not args.json:
+        return _print_polynomial(generalized_cumulant(p), False)
+    sys.stdout.writelines(_generalized_cumulant_json(p))
+    print()
+    return 0
 
 
 def _cmd_gmc(args) -> int:

@@ -18,13 +18,14 @@ Every algorithm returns the same set, ordered by the cr2 text key:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, product
 from operator import not_
 from time import perf_counter
 from typing import Iterator
 
 from .errors import AlgebraConsistencyError, IncompatibleTypeError
-from .indicator import IndicatorMatrix, from_indicator, to_indicator
+from .indicator import IndicatorMatrix, _block_indicator, from_indicator
 from .linalg import integer_rank
 from .partitions import (
     Blocks,
@@ -45,17 +46,24 @@ ALGORITHM_NAMES = ("twoblock", "graph", "laplacian", "nullspace", "stafford")
 
 @dataclass
 class CspResult:
-    """Output container: the input, the algorithm used, the sorted list, the wall time."""
+    """Output container: the input, the algorithm used, the listing and the
+    wall time.  The listing is ``keys``, the cr2 block tuples in cr2 text
+    order; ``complementary`` is the same listing as ``SetPartition``s, built
+    on first access and kept, so ``elapsed`` covers no per-entry object."""
 
     input: SetPartition
     algorithm: str
-    complementary: tuple[SetPartition, ...]
+    keys: tuple[Blocks, ...]
     elapsed: float
+
+    @cached_property
+    def complementary(self) -> tuple[SetPartition, ...]:
+        n = self.input.n
+        return tuple(SetPartition._from_key(n, k) for k in self.keys)
 
 
 def _result(p: SetPartition, name: str, keys, t0: float) -> CspResult:
-    parts = tuple(SetPartition._from_key(p.n, k) for k in keys)
-    return CspResult(p, name, parts, perf_counter() - t0)
+    return CspResult(p, name, tuple(keys), perf_counter() - t0)
 
 
 def _finish(p: SetPartition, name: str, keys, t0: float) -> CspResult:
@@ -80,27 +88,31 @@ class _Lattice:
     memoized; a set holding 1 is glued from its blocks holding 1 and the
     memoized lattices of the remainders.
 
-    Every list is in cr2 text order.  Two partitions of a set first differ in
-    their blocks holding its least element, and those blocks compare as their
-    element tokens do, with a block that another one extends coming after it
-    (``,`` sorts before ``|``).  Up to ``MAX_GROUND_SET`` = 12 no token but
-    ``1`` is a prefix of another, and 1 leads every comparison in which it
-    occurs, so the blocks come out of a post-order walk of the extensions
-    whose children come in token order: ``10`` before ``2``.
+    Every list comes from a post-order walk of the extensions of a set's
+    blocks holding its least element (a block after those extending it),
+    whose children come in one of two orders:
+
+    * token order (``10`` before ``2``) gives cr2 text order: ``,`` sorts
+      before ``|``, 1 leads every comparison in which it occurs, and up to
+      ``MAX_GROUND_SET`` = 12 no other token is a prefix of another;
+    * numeric order (``numeric=True``) gives decreasing order of the 0/1
+      block indicators, the term order of ``Polynomial.to_json``.
+
+    The two agree up to n = 9.
     """
 
     __slots__ = ("weight", "order", "blocks", "codes", "keys")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, numeric: bool):
         self.weight = [0] + [(n + 1) ** e for e in range(n)]
-        self.order = sorted(range(2, n + 1), key=str)
+        self.order = range(2, n + 1) if numeric else sorted(range(2, n + 1), key=str)
         self.blocks: dict[int, list] = {}
         self.codes: dict[int, list[int]] = {0: [0]}
         self.keys: dict[int, list[Blocks]] = {0: [()]}
 
     def first_blocks(self, s: int) -> list[tuple[int, int, Blocks]]:
         """(mask, weight, head) of each block of ``s`` holding its least
-        element e, in cr2 text order; the block's code is e * weight, head is
+        element e, in the walk's order; the block's code is e * weight, head is
         the one-block key.  The walk's top sets, which hold 1, are not kept."""
         out = self.blocks.get(s)
         if out is None:
@@ -143,20 +155,21 @@ class _Lattice:
         return out
 
 
-def _twoblock_keys(p: SetPartition) -> Iterator[Blocks]:
+def _twoblock_keys(p: SetPartition, *, numeric: bool = False) -> Iterator[Blocks]:
     """Yield the cr2 keys of the partitions complementary to ``p`` in cr2 text
-    order: the full lattice minus the partitions generated from two-block
-    splits.  The bound check runs at the first ``next()``.
+    order, or with ``numeric`` in decreasing indicator order (see
+    ``_Lattice``): the full lattice minus the partitions generated from
+    two-block splits.  The bound check runs at the first ``next()``.
 
     Each split of the blocks into a side holding 1 and a side without it
     excludes every partition glued from one partition of each side; the
     smaller side's lattice is the one iterated.  The walk over [n] streams
     blocks from the top while the remainder has more than
     min(n - 2, ``_MEMO_MAX``) elements, then reads the remainder's codes and
-    keys from the memo, so survivors come out in cr2 text order."""
+    keys from the memo, so survivors come out in the memo's order."""
     n = p.n
     _check_ground_set(n)
-    lat = _Lattice(n)
+    lat = _Lattice(n, numeric)
     full = (2 << n) - 2
     masks = [sum(1 << e for e in b) for b in p.cr2_key()[1:]]
     excluded: set[int] = set()
@@ -435,5 +448,11 @@ def swap_transfer(
 
 def csp_twoblock_onevec(mat: IndicatorMatrix) -> list[IndicatorMatrix]:
     """Two-block algorithm phrased on indicator matrices: the complementary
-    family of the encoded partition, in the same order, each encoded back."""
-    return [to_indicator(q) for q in csp_twoblock(from_indicator(mat)).complementary]
+    family of the encoded partition, in the same order, each encoded back.
+    A cr2 key's blocks are its columns in decreasing order."""
+    n = mat.n
+    column = _Memo(lambda b: _block_indicator(b, n))
+    return [
+        IndicatorMatrix(n, tuple(map(column.__getitem__, key)))
+        for key in csp_twoblock(from_indicator(mat)).keys
+    ]

@@ -194,12 +194,15 @@ def test_cli_bench_bad_types_is_usage_error(capsys, types):
     ["gmc", "--lambda", "3000000"],
     ["gmc", "--lambda", "1^30000000"],
     ["bench", "--types", "2,2,2,2,2;6,5"],
+    ["gencum", "--partition", "|".join(map(str, range(1, 17))), "--json"],
 ])
 def test_cli_ground_set_bound(capsys, argv):
     t0 = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - t0 < 1.0
-    assert capsys.readouterr().err.startswith("error:")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_cli_estimate_size_bound_before_loading(capsys, tmp_path):

@@ -23,6 +23,7 @@ from cumulants import (
     csp_twoblock_onevec,
     enumerate_partitions,
     from_indicator,
+    generalized_cumulant,
     generalized_cumulant_subtractive,
     is_complementary,
     swap_transfer,
@@ -70,13 +71,16 @@ def test_one_block_input_is_complementary_to_everything(name):
 
 def test_result_fields_and_order():
     p = SetPartition.parse("1|234")
-    r = csp_twoblock(p)
-    assert r.input == p
-    assert r.algorithm == "twoblock"
-    assert r.elapsed >= 0.0
-    keys = [q.sort_key() for q in r.complementary]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
+    text = _text_key()
+    for name in ALGORITHM_NAMES:
+        r = CSP_ALGORITHMS[name](p)
+        assert r.input == p
+        assert r.algorithm == name
+        assert r.elapsed >= 0.0
+        assert r.keys == tuple(q.blocks for q in r.complementary), name
+        texts = [text(key) for key in r.keys]
+        assert all(a < b for a, b in zip(texts, texts[1:])), name
+        assert r.complementary is r.complementary, name
 
 
 def test_five_way_agreement_exhaustive_small():
@@ -104,25 +108,53 @@ def _graph_keys(p):
     return [q.cr2_key() for q in CSP_ALGORITHMS["graph"](p).complementary]
 
 
-def test_twoblock_walk_lists_in_text_order_up_to_n8():
-    rng = random.Random(14)
+def _relabelled_per_type(seed):
+    """One randomly relabelled partition per block type of [n], n <= 8."""
+    rng = random.Random(seed)
     for n in range(1, 9):
         one_per_type = {block_type(q): q for q in enumerate_partitions(n)}
         for q in one_per_type.values():
             label = rng.sample(range(1, n + 1), n)
-            p = SetPartition(n, [[label[e - 1] for e in b] for b in q.blocks])
-            assert list(_twoblock_keys(p)) == _graph_keys(p), p.render()
+            yield SetPartition(n, [[label[e - 1] for e in b] for b in q.blocks])
 
 
-@pytest.mark.parametrize("text", [
+def test_twoblock_walk_lists_in_text_order_up_to_n8():
+    for p in _relabelled_per_type(14):
+        assert list(_twoblock_keys(p)) == _graph_keys(p), p.render()
+
+
+#: Partitions of [10] and [11] with two-digit elements in several blocks, on
+#: which cr2 text order and indicator order differ.
+TWO_DIGIT_PARTITIONS = (
     "1,4,10|2,5|3,6,8|7,9",
     "1,10|2,3,4|5,6,7|8,9",
     "1,5,9|2,6,10|3,7,11|4,8",
     "2,10,11|1,3|4,5,6|7,8,9",
-])
+)
+
+
+@pytest.mark.parametrize("text", TWO_DIGIT_PARTITIONS)
 def test_twoblock_walk_orders_two_digit_elements_as_text(text):
     p = SetPartition.parse(text)
     assert list(_twoblock_keys(p)) == _graph_keys(p)
+
+
+def _indicator_terms(n, keys):
+    factors = {}
+    for key in keys:
+        for b in key:
+            if b not in factors:
+                factors[b] = (tuple(int(e in b) for e in range(1, n + 1)), 1)
+    return [tuple(map(factors.__getitem__, key)) for key in keys]
+
+
+def test_twoblock_numeric_walk_lists_in_term_order():
+    two_digit = map(SetPartition.parse, TWO_DIGIT_PARTITIONS)
+    for p in [*_relabelled_per_type(15), *two_digit]:
+        walked = _indicator_terms(p.n, list(_twoblock_keys(p, numeric=True)))
+        assert walked == sorted(generalized_cumulant(p).terms, reverse=True), p.render()
+        if p.n >= 10:
+            assert walked != _indicator_terms(p.n, list(_twoblock_keys(p))), p.render()
 
 
 def test_twoblock_walk_token_order_holds_up_to_the_bound():
