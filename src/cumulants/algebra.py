@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import product
 from typing import Iterator
 
 from .csp import _twoblock_keys
@@ -32,10 +31,12 @@ from .partitions import (
     _Memo,
     _check_ground_set,
     _check_multi_index,
+    _coarsening_keys,
     _column_groupings,
     _iter_partition_keys,
     _mip_walk,
     _moebius_weight,
+    _refinement_keys,
 )
 
 Term = tuple[tuple[MultiIndex, int], ...]
@@ -289,11 +290,12 @@ def generalized_cumulant_subtractive(p: SetPartition) -> Polynomial:
     n = p.n
     _check_ground_set(n)
     term = _partition_key_term(n)
+    lattices = _Memo(lambda b: list(_iter_partition_keys(b)))
     excluded = {
         key
         for coarse in _coarsening_keys(p.cr2_key())
         if len(coarse) == 2
-        for key in _refinement_keys(coarse)
+        for key in _refinement_keys(coarse, lattices)
     }
     lattice = _iter_partition_keys(range(1, n + 1))
     full = Polynomial(n, dict.fromkeys(map(term, lattice), 1))
@@ -340,25 +342,6 @@ def generalized_multivariate_cumulant_subtractive(mip: MultiIndexPartition) -> P
     return Polynomial(mip.arity, moments, "mu").substitute(moments_to_cumulants, "kappa")
 
 
-def _refinement_keys(blocks: Blocks):
-    """All partitions refining the given blocks (per-block partitions combined)."""
-    lists = [list(_iter_partition_keys(b)) for b in blocks]
-    for combo in product(*lists):
-        allb: list[tuple[int, ...]] = []
-        for part in combo:
-            allb.extend(part)
-        yield tuple(sorted(allb))
-
-
-def _coarsening_keys(blocks: Blocks):
-    """All partitions the given one refines (groupings of whole blocks)."""
-    m = len(blocks)
-    for grouping in _iter_partition_keys(range(m)):
-        yield tuple(
-            sorted(tuple(sorted(e for j in g for e in blocks[j])) for g in grouping)
-        )
-
-
 def generalized_cumulant_in_moments(mat: IndicatorMatrix) -> Polynomial:
     """The generalized cumulant as a signed sum of joint-moment products.
 
@@ -382,7 +365,8 @@ def moment_product_expansion(mat: IndicatorMatrix) -> Polynomial:
     coefficient 1 per partition refining the encoded partition."""
     _check_ground_set(mat.n)
     term = _partition_key_term(mat.n)
-    keys = _refinement_keys(from_indicator(mat).blocks)
+    lattices = _Memo(lambda b: list(_iter_partition_keys(b)))
+    keys = _refinement_keys(from_indicator(mat).blocks, lattices)
     return Polynomial(mat.n, dict.fromkeys(map(term, keys), 1))
 
 

@@ -3,8 +3,8 @@
 Two partitions are complementary when their join is the one-block partition.
 Every algorithm returns the same set, ordered by the cr2 text key:
 
-* ``twoblock``   builds the non-complementary partitions from two-block splits
-                 of the input's blocks and subtracts them from the full lattice;
+* ``twoblock``   walks the lattice a block at a time and drops each subtree
+                 that refines a two-block coarsening of the input's blocks;
 * ``graph``      tests connectivity of the union of the two clique covers with
                  union-find;
 * ``laplacian``  tests the same connectivity through the integer rank of the
@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, product
-from operator import not_
 from time import perf_counter
 from typing import Iterator
 
@@ -33,9 +31,11 @@ from .partitions import (
     SetPartition,
     _Memo,
     _check_ground_set,
+    _coarsening_keys,
     _column_groupings,
     _iter_partition_keys,
     _moebius_weight,
+    _refinement_keys,
     _text_key,
     bell_number,
     block_type,
@@ -70,27 +70,30 @@ def _finish(p: SetPartition, name: str, keys, t0: float) -> CspResult:
     return _result(p, name, sorted(keys, key=_text_key()), t0)
 
 
-#: The two-block walk reads a remainder of at most this many elements from
-#: the memo and walks a larger one a block further down.  The memo then holds
-#: at most the sum over k <= 6 of C(n-1, k) Bell(k) keys, 124,000 at n = 12;
-#: on [10], bounds from 3 to 8 ran no faster.
+#: The two-block walk memoizes the survivors of a remainder of at most this
+#: many elements and walks a larger one a block further down.  A remainder's
+#: open components group the input's blocks restricted to it, so the memo
+#: holds one list per such grouping of each small remainder.  At n = 12 a
+#: bound of 8 raised the walk's peak on (3,3,3,3) from 45 to 118 MB, and a
+#: bound of 4 ran slower on every input measured.
 _MEMO_MAX = 6
 
 
 class _Lattice:
-    """Partition lattices of element sets held as bitmasks (bit e for element
-    e), memoized for the length of one listing.
+    """The two-block walk's memos over element sets held as bitmasks (bit e
+    for element e), for the length of one listing.
 
-    A partition's code gives each element e the base-(n+1) digit of its
-    block's least element at place e-1, so distinct partitions get distinct
-    codes below (n+1)^n, a machine-size integer, and partitions of disjoint
-    sets glue by addition.  Only sets without element 1 have their lattices
-    memoized; a set holding 1 is glued from its blocks holding 1 and the
-    memoized lattices of the remainders.
+    A node of the walk is a set of placed blocks.  Joined with the input's
+    blocks they make components; a node keeps its *open components*, the
+    masks of each component's unplaced elements, as a sorted tuple.  A child
+    places a block holding the least unplaced element; the components it
+    touches merge.  A component left with no unplaced element stays apart
+    from every other in each completion, so the child is pruned unless that
+    component is the only one, which finishes a complementary partition.  An
+    unpruned node has a complementary completion: one block of every
+    unplaced element.
 
-    Every list comes from a post-order walk of the extensions of a set's
-    blocks holding its least element (a block after those extending it),
-    whose children come in one of two orders:
+    The children come in one of two orders:
 
     * token order (``10`` before ``2``) gives cr2 text order: ``,`` sorts
       before ``|``, 1 leads every comparison in which it occurs, and up to
@@ -101,112 +104,100 @@ class _Lattice:
     The two agree up to n = 9.
     """
 
-    __slots__ = ("weight", "order", "blocks", "codes", "keys")
+    __slots__ = ("order", "blocks", "survivors")
 
     def __init__(self, n: int, numeric: bool):
-        self.weight = [0] + [(n + 1) ** e for e in range(n)]
         self.order = range(2, n + 1) if numeric else sorted(range(2, n + 1), key=str)
-        self.blocks: dict[int, list] = {}
-        self.codes: dict[int, list[int]] = {0: [0]}
-        self.keys: dict[int, list[Blocks]] = {0: [()]}
+        self.blocks: dict[int, list[tuple[int, Blocks]]] = {}
+        self.survivors: dict[tuple[int, ...], list[Blocks]] = {}
 
-    def first_blocks(self, s: int) -> list[tuple[int, int, Blocks]]:
-        """(mask, weight, head) of each block of ``s`` holding its least
-        element e, in the walk's order; the block's code is e * weight, head is
-        the one-block key.  The walk's top sets, which hold 1, are not kept."""
+    def first_blocks(self, s: int) -> list[tuple[int, Blocks]]:
+        """(mask, one-block key) of each block of ``s`` holding its least
+        element, in the walk's order: a post-order walk of the extensions (a
+        block after those extending it).  The walk's top sets, which hold 1,
+        are not kept."""
         out = self.blocks.get(s)
         if out is None:
             low = s & -s
             e = low.bit_length() - 1
-            w = self.weight[e]
             rest = s ^ low
             out = []
             for f in self.order:
                 if rest >> f & 1:
                     out.extend(
-                        (mask | low, w + v, ((e,) + head[0],))
-                        for mask, v, head in self.first_blocks(rest & -(1 << f))
+                        (mask | low, ((e,) + head[0],))
+                        for mask, head in self.first_blocks(rest & -(1 << f))
                     )
-            out.append((low, w, ((e,),)))
+            out.append((low, ((e,),)))
             if e != 1:
                 self.blocks[s] = out
         return out
 
-    def lattice_codes(self, s: int) -> list[int]:
-        """Codes of the partitions of ``s``, a set without 1."""
-        out = self.codes.get(s)
-        if out is None:
-            e = (s & -s).bit_length() - 1
-            out = []
-            for mask, w, _ in self.first_blocks(s):
-                out.extend(map((e * w).__add__, self.lattice_codes(s ^ mask)))
-            self.codes[s] = out
+    def children(self, comps: tuple[int, ...]) -> list[tuple[Blocks, tuple[int, ...]]]:
+        """(block key, open components) of each unpruned child, in the walk's
+        order; a finished partition has no open component."""
+        out = []
+        for mask, head in self.first_blocks(sum(comps)):
+            merged = 0
+            rest = []
+            for c in comps:
+                if c & mask:
+                    merged |= c
+                else:
+                    rest.append(c)
+            if merged != mask:
+                rest.append(merged ^ mask)
+                rest.sort()
+            elif rest:
+                continue
+            out.append((head, tuple(rest)))
         return out
 
-    def lattice_keys(self, s: int) -> list[Blocks]:
-        """cr2 keys of the partitions of ``s``, a set without 1, in the order
-        of ``lattice_codes``."""
-        out = self.keys.get(s)
+    def survivor_keys(self, comps: tuple[int, ...]) -> list[Blocks]:
+        """cr2 keys completing a node with open components ``comps``."""
+        out = self.survivors.get(comps)
         if out is None:
             out = []
-            for mask, _, head in self.first_blocks(s):
-                out.extend(map(head.__add__, self.lattice_keys(s ^ mask)))
-            self.keys[s] = out
+            for head, rest in self.children(comps):
+                if rest:
+                    out.extend(map(head.__add__, self.survivor_keys(rest)))
+                else:
+                    out.append(head)
+            self.survivors[comps] = out
         return out
 
 
 def _twoblock_keys(p: SetPartition, *, numeric: bool = False) -> Iterator[Blocks]:
     """Yield the cr2 keys of the partitions complementary to ``p`` in cr2 text
     order, or with ``numeric`` in decreasing indicator order (see
-    ``_Lattice``): the full lattice minus the partitions generated from
-    two-block splits.  The bound check runs at the first ``next()``.
+    ``_Lattice``).  The bound check runs at the first ``next()``.
 
-    Each split of the blocks into a side holding 1 and a side without it
-    excludes every partition glued from one partition of each side; the
-    smaller side's lattice is the one iterated.  The walk over [n] streams
-    blocks from the top while the remainder has more than
-    min(n - 2, ``_MEMO_MAX``) elements, then reads the remainder's codes and
-    keys from the memo, so survivors come out in the memo's order."""
+    A partition is not complementary exactly when it refines a two-block
+    coarsening of ``p``; the walk drops each subtree inside one of those as
+    soon as a component closes, so no excluded partition is made.  It
+    streams blocks from the top while more than min(n - 2, ``_MEMO_MAX``)
+    elements are unplaced, then reads the memoized survivors of the open
+    components, so the keys come out in the walk's order."""
     n = p.n
     _check_ground_set(n)
     lat = _Lattice(n, numeric)
-    full = (2 << n) - 2
-    masks = [sum(1 << e for e in b) for b in p.cr2_key()[1:]]
-    excluded: set[int] = set()
-    update = excluded.update
-    for s in range(1, 1 << len(masks)):
-        side2 = 0
-        for j, mask in enumerate(masks):
-            if s >> j & 1:
-                side2 |= mask
-        side1 = full ^ side2
-        inner = lat.lattice_codes(side2)
-        outer = []
-        for mask, w, _ in lat.first_blocks(side1):
-            outer.extend(map(w.__add__, lat.lattice_codes(side1 ^ mask)))
-        if len(outer) > len(inner):
-            outer, inner = inner, outer
-        for code in outer:
-            update(map(code.__add__, inner))
     small = min(max(n - 2, 0), _MEMO_MAX)
-    stack = [((), 0, full)]
+    comps = tuple(sorted(sum(1 << e for e in b) for b in p.blocks))
+    stack = [((), comps)]
     while stack:
-        head, code, s = stack.pop()
-        if s.bit_count() > small:
-            e = (s & -s).bit_length() - 1
-            stack.extend(
-                (head + bh, code + e * w, s ^ mask)
-                for mask, w, bh in reversed(lat.first_blocks(s))
-            )
-            continue
-        codes = map(code.__add__, lat.lattice_codes(s))
-        kept = map(not_, map(excluded.__contains__, codes))
-        yield from map(head.__add__, compress(lat.lattice_keys(s), kept))
+        head, comps = stack.pop()
+        if not comps:
+            yield head
+        elif sum(comps).bit_count() > small:
+            stack.extend((head + bh, rest) for bh, rest in reversed(lat.children(comps)))
+        else:
+            yield from map(head.__add__, lat.survivor_keys(comps))
 
 
 def csp_twoblock(p: SetPartition) -> CspResult:
-    """Full lattice minus the partitions generated from two-block splits; the
-    walk lists them in order, so there is no sort."""
+    """The lattice walk that drops each subtree refining a two-block
+    coarsening of ``p``; the walk lists the survivors in order, so there is no
+    sort."""
     t0 = perf_counter()
     return _result(p, "twoblock", _twoblock_keys(p), t0)
 
@@ -364,19 +355,11 @@ def csp_stafford(p: SetPartition) -> CspResult:
     and must all carry coefficient one; anything else signals a bug."""
     _check_ground_set(p.n)
     t0 = perf_counter()
-    blocks = p.cr2_key()
-    m = len(blocks)
-    parts = _Memo(lambda elems: list(_iter_partition_keys(elems)))
+    parts = _Memo(lambda b: list(_iter_partition_keys(b)))
     coeffs: dict[Blocks, int] = {}
-    for sigma in _iter_partition_keys(range(m)):
-        sign = _moebius_weight(len(sigma))
-        merged = [tuple(sorted(e for j in c for e in blocks[j])) for c in sigma]
-        lists = [parts[a] for a in merged]
-        for combo in product(*lists):
-            allb: list[tuple[int, ...]] = []
-            for part in combo:
-                allb.extend(part)
-            key = tuple(sorted(allb))
+    for coarse in _coarsening_keys(p.cr2_key()):
+        sign = _moebius_weight(len(coarse))
+        for key in _refinement_keys(coarse, parts):
             coeffs[key] = coeffs.get(key, 0) + sign
     out = []
     for key, c in coeffs.items():

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import dropwhile, product, takewhile
+from itertools import chain, dropwhile, product, repeat, takewhile
 from operator import index, mul, sub
 from typing import Callable, Iterator, Sequence
 
@@ -255,6 +255,25 @@ def _iter_partition_keys(elements: Sequence[int]) -> Iterator[Blocks]:
         for t in range(j + 1, n):
             rgs[t] = 0
             maxi[t] = maxi[j]
+
+
+def _refinement_keys(blocks: Blocks, lattices: _Memo) -> Iterator[Blocks]:
+    """cr2 keys of the partitions refining ``blocks``: one partition of each
+    block, glued.  ``lattices`` maps a block to the keys of its partitions;
+    make one with ``_iter_partition_keys`` per listing, so each block's
+    lattice is built once."""
+    combos = product(*map(lattices.__getitem__, blocks))
+    return map(tuple, map(sorted, map(sum, combos, repeat(()))))
+
+
+def _coarsening_keys(blocks: Blocks) -> Iterator[Blocks]:
+    """cr2 keys of the partitions that the cr2 key ``blocks`` refines: the
+    groupings of whole blocks.  Each grouping lists its groups by least
+    block, so the merged blocks come out in cr2 order."""
+    for grouping in _iter_partition_keys(range(len(blocks))):
+        yield tuple(
+            tuple(sorted(chain.from_iterable(map(blocks.__getitem__, g)))) for g in grouping
+        )
 
 
 def enumerate_partitions(n: int, m: int | None = None) -> list[SetPartition]:

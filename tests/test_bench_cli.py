@@ -102,6 +102,17 @@ def test_cli_gmc_many_distinct_columns_is_bounded(capsys):
     assert capsys.readouterr().out.strip() == "κ[1,1,1,1,1,1,1,1,1]"
 
 
+def test_cli_gmc_twelve_distinct_columns(capsys):
+    # 12 unit columns: one dummy element per variable, so the only
+    # complementary partition of the singletons is the one-block partition
+    unit = "|".join(",".join("1" if j == k else "0" for j in range(12)) for k in range(12))
+    assert main(["gmc", "--lambda", unit]) == 0
+    assert capsys.readouterr().out == "κ[1,1,1,1,1,1,1,1,1,1,1,1]\n"
+    assert main(["gmc", "--lambda", unit, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"terms": [{"coeff": 1, "factors": [[1] * 12]}]}
+
+
 #: Runs the CLI on its arguments in a child process, then writes that child's
 #: peak RSS to stderr.  Linux carries a process's peak RSS across fork and
 #: exec, so a CLI process started straight from the test process would report
