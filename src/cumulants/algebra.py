@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from typing import Iterator
 
 from .csp import _twoblock_keys
 from .errors import DimensionError
@@ -52,11 +51,15 @@ def _term(factors) -> Term:
     return tuple(sorted(counts.items(), reverse=True))
 
 
+def _factor_text(sym: str, mi: MultiIndex, power: int = 1) -> str:
+    """``κ[1,0]^2``: the symbol, the index and a power above one."""
+    return f"{sym}[{','.join(map(str, mi))}]" + (f"^{power}" if power > 1 else "")
+
+
 def _factors_text(sym: str):
-    """A function giving ``κ[1,0]^2 κ[0,1]`` for a factor key: each factor's
-    symbol, index and power above one.  It memoizes factor texts, so make one
-    per rendering."""
-    frag = _Memo(lambda f: f"{sym}[{','.join(map(str, f[0]))}]" + (f"^{f[1]}" if f[1] > 1 else ""))
+    """A function giving ``κ[1,0]^2 κ[0,1]`` for a factor key, factors joined
+    by a space.  It memoizes factor texts, so make one per rendering."""
+    frag = _Memo(lambda f: _factor_text(sym, *f))
     return lambda key: " ".join(map(frag.__getitem__, key))
 
 
@@ -255,28 +258,6 @@ def generalized_cumulant(p: SetPartition) -> Polynomial:
     term = _partition_key_term(p.n)
     keys = _twoblock_keys(p, numeric=True)
     return Polynomial._from_terms(p.n, dict.fromkeys(map(term, keys), 1))
-
-
-#: Terms per piece of ``_generalized_cumulant_json``.
-_JSON_CHUNK = 4096
-
-
-def _generalized_cumulant_json(p: SetPartition) -> Iterator[str]:
-    """``generalized_cumulant(p).to_json()`` in pieces of ``_JSON_CHUNK`` terms,
-    made from the walk's keys without the polynomial: the numeric walk lists
-    them in the JSON's term order, and each term has coefficient 1 and one
-    factor per block.  The walk ends, freeing its memo, before the first
-    piece, so a refused input yields nothing."""
-    keys = list(_twoblock_keys(p, numeric=True))
-    factor = _Memo(lambda b: json.dumps(list(_block_indicator(b, p.n)))).__getitem__
-    yield '{"terms": ['
-    for start in range(0, len(keys), _JSON_CHUNK):
-        text = ", ".join([
-            '{"coeff": 1, "factors": [' + ", ".join(map(factor, key)) + "]}"
-            for key in keys[start:start + _JSON_CHUNK]
-        ])
-        yield ", " + text if start else text
-    yield "]}"
 
 
 def generalized_cumulant_subtractive(p: SetPartition) -> Polynomial:

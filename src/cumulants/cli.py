@@ -9,22 +9,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
+from time import perf_counter
 
 from . import bench as bench_mod
-from .algebra import (
-    _generalized_cumulant_json,
-    generalized_cumulant,
-    generalized_multivariate_cumulant,
-)
-from .csp import ALGORITHM_NAMES, CSP_ALGORITHMS
+from .algebra import _SYMBOL_CHARS, _factor_text, generalized_multivariate_cumulant
+from .csp import ALGORITHM_NAMES, CSP_ALGORITHMS, _twoblock_runs
 from .errors import CumulantError
 from .estimation import (
     evaluate,
     generalized_multivariate_cumulant_estimator,
     load_csv,
 )
+from .indicator import _block_indicator
 from .partitions import IntegerPartition, MultiIndexPartition, SetPartition
-from .partitions import _render_key, enumerate_partitions
+from .partitions import _block_text, _render_key, enumerate_partitions
+
+#: A listing is written in pieces of at least this many keys.  Written run by
+#: run, or in pieces of 65536 keys, it raised the peak memory of the
+#: benchmark's ``listing`` workload to 82 and 77 MB, against 67-68 MB.
+_JSON_CHUNK = 4096
 
 
 class _UsageError(Exception):
@@ -99,41 +103,72 @@ def _cmd_partitions(args) -> int:
     return 0
 
 
+def _write_listing(runs, key_sep: str, head: str, tail: str) -> None:
+    """Write ``head``, the keys of ``runs`` joined by ``key_sep``, then
+    ``tail``.  A run is a (prefix, suffixes) pair of ``csp._twoblock_runs``,
+    whose keys are ``prefix + suffix``, so its text is one join.  Nothing is
+    written before the first run has come; no listing is empty, as the
+    one-block partition is complementary to every input."""
+    write = sys.stdout.write
+    lead, pieces, keys = head, [], 0
+    for prefix, suffixes in runs:
+        pieces += lead, prefix, (key_sep + prefix).join(suffixes)
+        lead = key_sep
+        keys += len(suffixes)
+        if keys >= _JSON_CHUNK:
+            write("".join(pieces))
+            pieces, keys = [], 0
+    pieces.append(tail)
+    write("".join(pieces))
+
+
 def _cmd_csp(args) -> int:
     p = SetPartition.parse(args.partition)
-    result = CSP_ALGORITHMS[args.algo](p)
-    texts = list(map(_render_key(p.n), result.keys))
-    if args.json:
-        print(json.dumps({
-            "input": p.render(),
-            "n": p.n,
-            "algorithm": result.algorithm,
-            "count": len(texts),
-            "complementary": texts,
-            "elapsed_ms": result.elapsed * 1000.0,
-        }))
+    if args.algo == "twoblock":
+        # the whole walk runs first: the count leads the JSON, and a refused
+        # input prints nothing
+        t0 = perf_counter()
+        runs = list(_twoblock_runs(p, _block_text(p.n), "|"))
+        elapsed = perf_counter() - t0
     else:
-        print("\n".join(texts))
-    return 0
-
-
-def _print_polynomial(poly, as_json: bool) -> int:
-    print(poly.to_json() if as_json else poly.pretty())
+        result = CSP_ALGORITHMS[args.algo](p)
+        runs = [("", list(map(_render_key(p.n), result.keys)))]
+        elapsed = result.elapsed
+    if not args.json:
+        _write_listing(runs, "\n", "", "\n")
+        return 0
+    head = json.dumps({
+        "input": p.render(),
+        "n": p.n,
+        "algorithm": args.algo,
+        "count": sum(len(suffixes) for _, suffixes in runs),
+    })
+    tail = f'"], "elapsed_ms": {json.dumps(elapsed * 1000.0)}}}\n'
+    _write_listing(runs, '", "', head[:-1] + ', "complementary": ["', tail)
     return 0
 
 
 def _cmd_gencum(args) -> int:
+    """The terms of ``generalized_cumulant`` written from the walk: each has
+    coefficient 1 and one factor per block, and the numeric walk lists them
+    in the rendered order.  The bound check runs before the first piece."""
     p = SetPartition.parse(args.partition)
-    if not args.json:
-        return _print_polynomial(generalized_cumulant(p), False)
-    sys.stdout.writelines(_generalized_cumulant_json(p))
-    print()
+    if args.json:
+        text, sep = (lambda mi: json.dumps(list(mi))), ", "
+        key_sep = ']}, {"coeff": 1, "factors": ['
+        head, tail = '{"terms": [{"coeff": 1, "factors": [', "]}]}\n"
+    else:
+        text = partial(_factor_text, _SYMBOL_CHARS["kappa"])
+        sep, key_sep, head, tail = " ", " + ", "", "\n"
+    runs = _twoblock_runs(p, lambda b: text(_block_indicator(b, p.n)), sep, numeric=True)
+    _write_listing(runs, key_sep, head, tail)
     return 0
 
 
 def _cmd_gmc(args) -> int:
-    mip = MultiIndexPartition.parse(args.mip)
-    return _print_polynomial(generalized_multivariate_cumulant(mip), args.json)
+    poly = generalized_multivariate_cumulant(MultiIndexPartition.parse(args.mip))
+    print(poly.to_json() if args.json else poly.pretty())
+    return 0
 
 
 def _cmd_estimate(args) -> int:

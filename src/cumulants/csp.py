@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from time import perf_counter
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import AlgebraConsistencyError, IncompatibleTypeError
 from .indicator import IndicatorMatrix, _block_indicator, from_indicator
@@ -101,21 +102,24 @@ class _Lattice:
     * numeric order (``numeric=True``) gives decreasing order of the 0/1
       block indicators, the term order of ``Polynomial.to_json``.
 
-    The two agree up to n = 9.
+    The two agree up to n = 9.  ``lead`` gives the text of a block that
+    follows another in a key, separator first; the memoized survivors are
+    concatenations of those.
     """
 
-    __slots__ = ("order", "blocks", "survivors")
+    __slots__ = ("order", "lead", "blocks", "survivors")
 
-    def __init__(self, n: int, numeric: bool):
+    def __init__(self, n: int, numeric: bool, lead: Callable):
         self.order = range(2, n + 1) if numeric else sorted(range(2, n + 1), key=str)
-        self.blocks: dict[int, list[tuple[int, Blocks]]] = {}
-        self.survivors: dict[tuple[int, ...], list[Blocks]] = {}
+        self.lead = lead
+        self.blocks: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        self.survivors: dict[tuple[int, ...], list] = {}
 
-    def first_blocks(self, s: int) -> list[tuple[int, Blocks]]:
-        """(mask, one-block key) of each block of ``s`` holding its least
-        element, in the walk's order: a post-order walk of the extensions (a
-        block after those extending it).  The walk's top sets, which hold 1,
-        are not kept."""
+    def first_blocks(self, s: int) -> list[tuple[int, tuple[int, ...]]]:
+        """(mask, block) of each block of ``s`` holding its least element, in
+        the walk's order: a post-order walk of the extensions (a block after
+        those extending it).  The walk's top sets, which hold 1, are not
+        kept."""
         out = self.blocks.get(s)
         if out is None:
             low = s & -s
@@ -125,19 +129,19 @@ class _Lattice:
             for f in self.order:
                 if rest >> f & 1:
                     out.extend(
-                        (mask | low, ((e,) + head[0],))
-                        for mask, head in self.first_blocks(rest & -(1 << f))
+                        (mask | low, (e,) + block)
+                        for mask, block in self.first_blocks(rest & -(1 << f))
                     )
-            out.append((low, ((e,),)))
+            out.append((low, (e,)))
             if e != 1:
                 self.blocks[s] = out
         return out
 
-    def children(self, comps: tuple[int, ...]) -> list[tuple[Blocks, tuple[int, ...]]]:
-        """(block key, open components) of each unpruned child, in the walk's
+    def children(self, comps: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(block, open components) of each unpruned child, in the walk's
         order; a finished partition has no open component."""
         out = []
-        for mask, head in self.first_blocks(sum(comps)):
+        for mask, block in self.first_blocks(sum(comps)):
             merged = 0
             rest = []
             for c in comps:
@@ -150,15 +154,18 @@ class _Lattice:
                 rest.sort()
             elif rest:
                 continue
-            out.append((head, tuple(rest)))
+            out.append((block, tuple(rest)))
         return out
 
-    def survivor_keys(self, comps: tuple[int, ...]) -> list[Blocks]:
-        """cr2 keys completing a node with open components ``comps``."""
+    def survivor_keys(self, comps: tuple[int, ...]) -> list:
+        """The completions of a node with open components ``comps``, each the
+        ``lead`` of its blocks concatenated."""
         out = self.survivors.get(comps)
         if out is None:
             out = []
-            for head, rest in self.children(comps):
+            lead = self.lead
+            for block, rest in self.children(comps):
+                head = lead(block)
                 if rest:
                     out.extend(map(head.__add__, self.survivor_keys(rest)))
                 else:
@@ -167,31 +174,48 @@ class _Lattice:
         return out
 
 
-def _twoblock_keys(p: SetPartition, *, numeric: bool = False) -> Iterator[Blocks]:
-    """Yield the cr2 keys of the partitions complementary to ``p`` in cr2 text
-    order, or with ``numeric`` in decreasing indicator order (see
-    ``_Lattice``).  The bound check runs at the first ``next()``.
+def _twoblock_runs(p: SetPartition, frag, sep, *, numeric: bool = False) -> Iterator[tuple]:
+    """Yield the partitions complementary to ``p`` as *runs*: (prefix,
+    suffixes) pairs whose keys are ``prefix + suffix`` for each suffix, in
+    cr2 text order, or with ``numeric`` in decreasing indicator order (see
+    ``_Lattice``).  A key is the ``frag`` of each of its blocks joined by
+    ``sep``: ``(lambda b: (b,), ())`` gives cr2 key tuples, a text fragment
+    and separator give the key's text.  Each suffix starts with ``sep``.
+    The bound check runs at the first ``next()``.
 
     A partition is not complementary exactly when it refines a two-block
     coarsening of ``p``; the walk drops each subtree inside one of those as
     soon as a component closes, so no excluded partition is made.  It
     streams blocks from the top while more than min(n - 2, ``_MEMO_MAX``)
-    elements are unplaced, then reads the memoized survivors of the open
-    components, so the keys come out in the walk's order."""
+    elements are unplaced, then yields the stacked prefix with the memoized
+    survivors of its open components, the memo's own list, so a consumer
+    must not change it.  A text ``frag`` is called once per distinct block,
+    the key tuple's once per use."""
     n = p.n
     _check_ground_set(n)
-    lat = _Lattice(n, numeric)
+    # making a key tuple costs less than a memo lookup
+    lat = _Lattice(n, numeric, _Memo(lambda b: sep + frag(b)).__getitem__ if sep else frag)
     small = min(max(n - 2, 0), _MEMO_MAX)
     comps = tuple(sorted(sum(1 << e for e in b) for b in p.blocks))
-    stack = [((), comps)]
+    finished = [sep[:0]]
+    # the top node places the block holding 1, which no separator precedes
+    stack = [(frag(b), rest) for b, rest in reversed(lat.children(comps))]
     while stack:
-        head, comps = stack.pop()
+        prefix, comps = stack.pop()
         if not comps:
-            yield head
+            yield prefix, finished
         elif sum(comps).bit_count() > small:
-            stack.extend((head + bh, rest) for bh, rest in reversed(lat.children(comps)))
+            stack.extend(
+                (prefix + lat.lead(b), rest) for b, rest in reversed(lat.children(comps))
+            )
         else:
-            yield from map(head.__add__, lat.survivor_keys(comps))
+            yield prefix, lat.survivor_keys(comps)
+
+
+def _twoblock_keys(p: SetPartition, *, numeric: bool = False) -> Iterator[Blocks]:
+    """The cr2 keys of ``_twoblock_runs``, one by one."""
+    runs = _twoblock_runs(p, lambda b: (b,), (), numeric=numeric)
+    return chain.from_iterable(map(prefix.__add__, suffixes) for prefix, suffixes in runs)
 
 
 def csp_twoblock(p: SetPartition) -> CspResult:

@@ -55,9 +55,17 @@ def _text_key(sep: str = ",") -> Callable[[Blocks], str]:
     return lambda key: "|".join(map(frag.__getitem__, key))
 
 
+def _block_text(n: int) -> Callable[[tuple[int, ...]], str]:
+    """The rendered text of a block over [n]: compact digits when n <= 9,
+    comma-separated otherwise."""
+    sep = "" if n <= 9 else ","
+    return lambda b: sep.join(map(str, b))
+
+
 def _render_key(n: int) -> Callable[[Blocks], str]:
-    """``_text_key`` in the rendered form over [n]: compact digits when n <= 9."""
-    return _text_key("" if n <= 9 else ",")
+    """``_text_key`` in the rendered form over [n] (see ``_block_text``)."""
+    frag = _Memo(_block_text(n))
+    return lambda key: "|".join(map(frag.__getitem__, key))
 
 
 def _check_ground_set(n: int) -> None:

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -142,6 +144,55 @@ def test_cli_gmc_repeated_columns_fresh_process():
     assert peak_mb < 64
 
 
+def _fresh_listing(argv: list, sep: bytes) -> tuple[str, int, float]:
+    """Run the CLI in a fresh process through ``_LAUNCHER`` and read its
+    output as it comes, never holding all of it: the first bytes, the
+    number of times ``sep`` occurs, and the child's peak memory in MB."""
+    src = os.path.dirname(os.path.dirname(cumulants.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _LAUNCHER, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    timer = threading.Timer(300, proc.kill)
+    timer.start()
+    try:
+        head, carry, seps = b"", b"", 0
+        while chunk := proc.stdout.read(1 << 20):
+            head = head or chunk[:256]
+            chunk = carry + chunk
+            seps += chunk.count(sep)
+            carry = chunk[1 - len(sep):]
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 0, err
+    finally:
+        timer.cancel()
+    # ru_maxrss is in bytes on macOS and in kilobytes elsewhere
+    peak_mb = int(err.split()[-1]) / (2**20 if sys.platform == "darwin" else 2**10)
+    return head.decode(), seps, peak_mb
+
+
+def test_cli_listings_at_the_size_bound_fresh_process():
+    # a listing at the size bound stays under 512 MB as a fresh process
+    pytest.importorskip("resource")
+    one_block = SetPartition.parse(",".join(map(str, range(1, 13))))
+    head, seps, peak_mb = _fresh_listing(
+        ["csp", "--partition", one_block.render(), "--json"], b'", "'
+    )
+    count = int(re.search(r'"count": (\d+)', head).group(1))
+    assert count == bell_number(12)
+    # two separators fall in the header: after "input" and "algorithm"
+    assert seps - 2 == count - 1
+    assert peak_mb < 512
+
+    p = SetPartition.parse("1,2,3|4,5,6|7,8,9|10,11,12")
+    head, seps, peak_mb = _fresh_listing(["gencum", "--partition", p.render()], b" + ")
+    assert head.startswith("κ[1,1,1,1,1,1,1,1,1,1,1,1] + ")
+    assert seps + 1 == bell_number(12) - count_not_complementary(p) == 3_724_180
+    assert peak_mb < 512
+
+
 def test_cli_partitions(capsys):
     assert main(["partitions", "--n", "3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -206,6 +257,8 @@ def test_cli_bench_bad_types_is_usage_error(capsys, types):
     ["gmc", "--lambda", "1^30000000"],
     ["bench", "--types", "2,2,2,2,2;6,5"],
     ["gencum", "--partition", "|".join(map(str, range(1, 17))), "--json"],
+    ["gencum", "--partition", "|".join(map(str, range(1, 14)))],
+    ["csp", "--partition", ",".join(map(str, range(1, 14))), "--json"],
 ])
 def test_cli_ground_set_bound(capsys, argv):
     t0 = time.perf_counter()

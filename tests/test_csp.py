@@ -29,8 +29,8 @@ from cumulants import (
     swap_transfer,
     to_indicator,
 )
-from cumulants.csp import _twoblock_keys
-from cumulants.partitions import MAX_GROUND_SET, _iter_partition_keys, _text_key
+from cumulants.csp import _twoblock_keys, _twoblock_runs
+from cumulants.partitions import MAX_GROUND_SET, _block_text, _iter_partition_keys, _text_key
 
 CSP_1_234 = {
     "12|3|4", "13|2|4", "14|2|3", "123|4", "124|3",
@@ -194,27 +194,34 @@ def test_twoblock_walk_on_many_blocks_at_the_bound():
 def test_twoblock_walk_frees_its_memo():
     # with the collector off, a reference cycle would keep the memo alive;
     # an untraced first walk fills the interpreter's tuple free lists, whose
-    # entries tracemalloc would count as still allocated
-    p = SetPartition.parse("1,4,7|2,5,8|3,6|9,10")
-    gc.disable()
-    deque(_twoblock_keys(p), 0)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        deque(_twoblock_keys(p), 0)
-        after_full = tracemalloc.get_traced_memory()[0] - base
-        walk = _twoblock_keys(p)
-        deque(islice(walk, 1000), 0)
-        walk.close()
-        del walk
-        after_close = tracemalloc.get_traced_memory()[0] - base
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    assert peak > 4 << 20
-    assert after_full < 1 << 20
-    assert after_close < 1 << 20
+    # entries tracemalloc would count as still allocated.  Both the key walk
+    # and the text runs the CLI writes are checked, after a full walk and
+    # after one dropped part way.
+    p = SetPartition.parse("1,4,7,10|2,5,8,11|3,6,9")
+    walks = {
+        "keys": lambda: _twoblock_keys(p),
+        "text": lambda: _twoblock_runs(p, _block_text(p.n), "|"),
+    }
+    for mode, walk in walks.items():
+        gc.disable()
+        deque(walk(), 0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            deque(walk(), 0)
+            after_full = tracemalloc.get_traced_memory()[0] - base
+            partial = walk()
+            deque(islice(partial, 1000), 0)
+            del partial
+            after_close = tracemalloc.get_traced_memory()[0] - base
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # the floor shows that a memo was measured at all
+        assert peak > 4 << 20, mode
+        assert after_full < 1 << 20, mode
+        assert after_close < 1 << 20, mode
 
 
 @pytest.mark.parametrize(
