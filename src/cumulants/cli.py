@@ -26,8 +26,8 @@ from .partitions import IntegerPartition, MultiIndexPartition, SetPartition
 from .partitions import _block_text, _render_key, enumerate_partitions
 
 #: A listing is written in pieces of at least this many keys.  Written run by
-#: run, or in pieces of 65536 keys, it raised the peak memory of the
-#: benchmark's ``listing`` workload to 82 and 77 MB, against 67-68 MB.
+#: run, or in one piece, the benchmark's ``listing`` workload peaked at
+#: 84 MB, against 68-71 MB.
 _JSON_CHUNK = 4096
 
 
@@ -106,20 +106,26 @@ def _cmd_partitions(args) -> int:
 def _write_listing(runs, key_sep: str, head: str, tail: str) -> None:
     """Write ``head``, the keys of ``runs`` joined by ``key_sep``, then
     ``tail``.  A run is a (prefix, suffixes) pair of ``csp._twoblock_runs``,
-    whose keys are ``prefix + suffix``, so its text is one join.  Nothing is
-    written before the first run has come; no listing is empty, as the
-    one-block partition is complementary to every input."""
+    whose keys are ``prefix + suffix``.  A piece is one ``str.join`` of the
+    runs' own strings, ``key_sep + prefix`` between a run's suffixes, so the
+    only text made is the piece itself.  Joining each run first left the
+    run texts' holes between the pieces, and a caller that holds the pieces
+    (``io.StringIO`` does) peaked at 68-84 MB on the benchmark's ``listing``
+    workload by the order of its operations, against 68-71 MB.  No listing
+    is empty, as the one-block partition is complementary to every input."""
     write = sys.stdout.write
-    lead, pieces, keys = head, [], 0
+    lead, parts = head, []
     for prefix, suffixes in runs:
-        pieces += lead, prefix, (key_sep + prefix).join(suffixes)
+        run = [key_sep + prefix] * (2 * len(suffixes))
+        run[0] = lead + prefix
+        run[1::2] = suffixes
+        parts += run
         lead = key_sep
-        keys += len(suffixes)
-        if keys >= _JSON_CHUNK:
-            write("".join(pieces))
-            pieces, keys = [], 0
-    pieces.append(tail)
-    write("".join(pieces))
+        if len(parts) >= 2 * _JSON_CHUNK:  # two strings a key
+            write("".join(parts))
+            parts = []
+    parts.append(tail)
+    write("".join(parts))
 
 
 def _cmd_csp(args) -> int:
@@ -151,7 +157,11 @@ def _cmd_csp(args) -> int:
 def _cmd_gencum(args) -> int:
     """The terms of ``generalized_cumulant`` written from the walk: each has
     coefficient 1 and one factor per block, and the numeric walk lists them
-    in the rendered order.  The bound check runs before the first piece."""
+    in the rendered order.  The walk ends before the first piece, so a
+    refused input prints nothing, and no memo entry is made between two
+    pieces: made while the pieces went out, its entries split them, and the
+    ``listing`` workload's peak memory rose as with run texts (see
+    ``_write_listing``)."""
     p = SetPartition.parse(args.partition)
     if args.json:
         text, sep = (lambda mi: json.dumps(list(mi))), ", "
@@ -160,7 +170,7 @@ def _cmd_gencum(args) -> int:
     else:
         text = partial(_factor_text, _SYMBOL_CHARS["kappa"])
         sep, key_sep, head, tail = " ", " + ", "", "\n"
-    runs = _twoblock_runs(p, lambda b: text(_block_indicator(b, p.n)), sep, numeric=True)
+    runs = list(_twoblock_runs(p, lambda b: text(_block_indicator(b, p.n)), sep, numeric=True))
     _write_listing(runs, key_sep, head, tail)
     return 0
 
