@@ -108,11 +108,11 @@ def _write_listing(runs, key_sep: str, head: str, tail: str) -> None:
     ``tail``.  A run is a (prefix, suffixes) pair of ``csp._twoblock_runs``,
     whose keys are ``prefix + suffix``.  A piece is one ``str.join`` of the
     runs' own strings, ``key_sep + prefix`` between a run's suffixes, so the
-    only text made is the piece itself.  Joining each run first left the
-    run texts' holes between the pieces, and a caller that holds the pieces
-    (``io.StringIO`` does) peaked at 68-84 MB on the benchmark's ``listing``
-    workload by the order of its operations, against 68-71 MB.  No listing
-    is empty, as the one-block partition is complementary to every input."""
+    only text made is the piece itself: texts made between pieces split
+    them in memory, and a caller that holds the pieces (``io.StringIO``
+    does) then peaks higher by what ran before it, 68-84 MB instead of
+    67-71 MB on the benchmark's ``listing`` workload.  No listing is empty,
+    as the one-block partition is complementary to every input."""
     write = sys.stdout.write
     lead, parts = head, []
     for prefix, suffixes in runs:
@@ -158,9 +158,7 @@ def _cmd_gencum(args) -> int:
     """The terms of ``generalized_cumulant`` written from the walk: each has
     coefficient 1 and one factor per block, and the numeric walk lists them
     in the rendered order.  The walk ends before the first piece, so a
-    refused input prints nothing, and no memo entry is made between two
-    pieces: made while the pieces went out, its entries split them, and the
-    ``listing`` workload's peak memory rose as with run texts (see
+    refused input prints nothing and no memo entry splits two pieces (see
     ``_write_listing``)."""
     p = SetPartition.parse(args.partition)
     if args.json:
