@@ -252,12 +252,10 @@ def generalized_cumulant(p: SetPartition) -> Polynomial:
 
     One term per complementary partition, listed by the two-block algorithm:
     the product of the joint cumulants of its blocks, each encoded by the
-    block's 0/1 indicator multi-index.  All coefficients are 1.  The walk
-    lists the terms in decreasing key order, the order they render in.
+    block's 0/1 indicator multi-index.  All coefficients are 1.
     """
     term = _partition_key_term(p.n)
-    keys = _twoblock_keys(p, numeric=True)
-    return Polynomial._from_terms(p.n, dict.fromkeys(map(term, keys), 1))
+    return Polynomial._from_terms(p.n, dict.fromkeys(map(term, _twoblock_keys(p)), 1))
 
 
 def generalized_cumulant_subtractive(p: SetPartition) -> Polynomial:

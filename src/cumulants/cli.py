@@ -15,7 +15,7 @@ from time import perf_counter
 from . import bench as bench_mod
 from .algebra import _SYMBOL_CHARS, _factor_text, generalized_multivariate_cumulant
 from .csp import ALGORITHM_NAMES, CSP_ALGORITHMS, _twoblock_runs
-from .errors import CumulantError
+from .errors import BoundsError, CumulantError
 from .estimation import (
     evaluate,
     generalized_multivariate_cumulant_estimator,
@@ -23,7 +23,7 @@ from .estimation import (
 )
 from .indicator import _block_indicator
 from .partitions import IntegerPartition, MultiIndexPartition, SetPartition
-from .partitions import _block_text, _render_key, enumerate_partitions
+from .partitions import _block_text, _check_ground_set, _render_key
 
 #: A listing is written in pieces of at least this many keys.  Written run by
 #: run, or in one piece, the benchmark's ``listing`` workload peaked at
@@ -88,21 +88,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_partitions(args) -> int:
-    parts = enumerate_partitions(args.n, args.m)
-    texts = list(map(_render_key(args.n), (p.blocks for p in parts)))
-    if args.json:
-        print(json.dumps({
-            "n": args.n,
-            "m": args.m,
-            "count": len(parts),
-            "partitions": texts,
-        }))
-    else:
-        print("\n".join(texts))
-    return 0
-
-
 def _write_listing(runs, key_sep: str, head: str, tail: str) -> None:
     """Write ``head``, the keys of ``runs`` joined by ``key_sep``, then
     ``tail``.  A run is a (prefix, suffixes) pair of ``csp._twoblock_runs``,
@@ -111,8 +96,8 @@ def _write_listing(runs, key_sep: str, head: str, tail: str) -> None:
     only text made is the piece itself: texts made between pieces split
     them in memory, and a caller that holds the pieces (``io.StringIO``
     does) then peaks higher by what ran before it, 68-84 MB instead of
-    67-71 MB on the benchmark's ``listing`` workload.  No listing is empty,
-    as the one-block partition is complementary to every input."""
+    67-71 MB on the benchmark's ``listing`` workload.  No listing or run is
+    empty, as the one-block partition is complementary to every input."""
     write = sys.stdout.write
     lead, parts = head, []
     for prefix, suffixes in runs:
@@ -128,6 +113,35 @@ def _write_listing(runs, key_sep: str, head: str, tail: str) -> None:
     write("".join(parts))
 
 
+def _write_keys(runs: list, as_json: bool, fields: dict, name: str, tail: str) -> None:
+    """Write the keys of ``runs`` one a line, or as JSON: ``fields``, then
+    ``"count"``, then the keys as the list ``name``, then ``tail``."""
+    if not as_json:
+        _write_listing(runs, "\n", "", "\n")
+        return
+    head = json.dumps({**fields, "count": sum(len(suffixes) for _, suffixes in runs)})
+    _write_listing(runs, '", "', f'{head[:-1]}, "{name}": ["', '"]' + tail)
+
+
+def _cmd_partitions(args) -> int:
+    """The lattice is the listing of the one-block partition, to which every
+    partition is complementary; ``--m`` keeps the keys with m - 1 ``|``."""
+    n, m = args.n, args.m
+    _check_ground_set(n)  # before SetPartition(n, ...), which raises a ValueError at 0
+    if m is not None and not 1 <= m <= n:
+        raise BoundsError(f"m must be in 1..{n}, got {m}")
+    runs = _twoblock_runs(SetPartition(n, [range(1, n + 1)]), _block_text(n), "|")
+    if m is not None:
+        runs = (
+            (prefix, [s for s in suffixes if s.count("|") == want])
+            for prefix, suffixes in runs
+            for want in [m - 1 - prefix.count("|")]
+        )
+    runs = [run for run in runs if run[1]]  # the writer takes no empty run
+    _write_keys(runs, args.json, {"n": n, "m": m}, "partitions", "}\n")
+    return 0
+
+
 def _cmd_csp(args) -> int:
     p = SetPartition.parse(args.partition)
     if args.algo == "twoblock":
@@ -140,17 +154,9 @@ def _cmd_csp(args) -> int:
         result = CSP_ALGORITHMS[args.algo](p)
         runs = [("", list(map(_render_key(p.n), result.keys)))]
         elapsed = result.elapsed
-    if not args.json:
-        _write_listing(runs, "\n", "", "\n")
-        return 0
-    head = json.dumps({
-        "input": p.render(),
-        "n": p.n,
-        "algorithm": args.algo,
-        "count": sum(len(suffixes) for _, suffixes in runs),
-    })
-    tail = f'"], "elapsed_ms": {json.dumps(elapsed * 1000.0)}}}\n'
-    _write_listing(runs, '", "', head[:-1] + ', "complementary": ["', tail)
+    fields = {"input": p.render(), "n": p.n, "algorithm": args.algo}
+    tail = f', "elapsed_ms": {json.dumps(elapsed * 1000.0)}}}\n'
+    _write_keys(runs, args.json, fields, "complementary", tail)
     return 0
 
 

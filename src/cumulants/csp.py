@@ -37,7 +37,7 @@ from .partitions import (
     _iter_partition_keys,
     _moebius_weight,
     _refinement_keys,
-    _text_key,
+    _render_key,
     bell_number,
     block_type,
 )
@@ -68,7 +68,7 @@ def _result(p: SetPartition, name: str, keys, t0: float) -> CspResult:
 
 
 def _finish(p: SetPartition, name: str, keys, t0: float) -> CspResult:
-    return _result(p, name, sorted(keys, key=_text_key()), t0)
+    return _result(p, name, sorted(keys, key=_render_key(p.n)), t0)
 
 
 #: The two-block walk memoizes the survivors of a remainder of at most this
@@ -212,9 +212,9 @@ def _twoblock_runs(p: SetPartition, frag, sep, *, numeric: bool = False) -> Iter
             yield prefix, lat.survivor_keys(comps)
 
 
-def _twoblock_keys(p: SetPartition, *, numeric: bool = False) -> Iterator[Blocks]:
-    """The cr2 keys of ``_twoblock_runs``, one by one."""
-    runs = _twoblock_runs(p, lambda b: (b,), (), numeric=numeric)
+def _twoblock_keys(p: SetPartition) -> Iterator[Blocks]:
+    """The cr2 keys of ``_twoblock_runs``, one by one, in cr2 text order."""
+    runs = _twoblock_runs(p, lambda b: (b,), ())
     return chain.from_iterable(map(prefix.__add__, suffixes) for prefix, suffixes in runs)
 
 
@@ -391,7 +391,7 @@ def csp_stafford(p: SetPartition) -> CspResult:
             continue
         if c != 1:
             raise AlgebraConsistencyError(
-                f"coefficient {c} for {_text_key()(key)}; expected 1"
+                f"coefficient {c} for {_render_key(p.n)(key)}; expected 1"
             )
         out.append(key)
     return _finish(p, "stafford", out, t0)
@@ -449,7 +449,7 @@ def swap_transfer(
     for q in source_csp:
         mapped = [tuple(sorted(relabel[e] for e in b)) for b in q.cr2_key()]
         keys.append(tuple(sorted(mapped)))
-    keys.sort(key=_text_key())
+    keys.sort(key=_render_key(target.n))
     return [SetPartition._from_key(target.n, k) for k in keys]
 
 

@@ -206,7 +206,8 @@ class PowerSumPolynomial:
         for mono in sorted(self.terms, reverse=True):
             sign, coeff = _npoly_render(self.terms[mono])
             factors = factors_text(mono)
-            bits.append((sign < 0, factors if coeff == "1" else f"{coeff} {factors}"))
+            body = factors if coeff == "1" and factors else f"{coeff} {factors}".rstrip()
+            bits.append((sign < 0, body))
         num = _join_signed(bits)
         if self.order == 0:
             return num

@@ -46,15 +46,6 @@ class _Memo(dict):
         return value
 
 
-def _text_key(sep: str = ",") -> Callable[[Blocks], str]:
-    """A function giving the text ``1,2|3`` of a block key, elements joined by
-    ``sep``; on cr2 keys the comma text orders every listing.  The function
-    memoizes block texts, which repeat across the keys of one listing, so make
-    one per sort or rendering."""
-    frag = _Memo(lambda b: sep.join(map(str, b)))
-    return lambda key: "|".join(map(frag.__getitem__, key))
-
-
 def _block_text(n: int) -> Callable[[tuple[int, ...]], str]:
     """The rendered text of a block over [n]: compact digits when n <= 9,
     comma-separated otherwise."""
@@ -63,7 +54,10 @@ def _block_text(n: int) -> Callable[[tuple[int, ...]], str]:
 
 
 def _render_key(n: int) -> Callable[[Blocks], str]:
-    """``_text_key`` in the rendered form over [n] (see ``_block_text``)."""
+    """The text of a block key rendered over [n] (see ``_block_text``); on
+    cr2 keys it orders every listing as the comma text would (``,`` and every
+    digit sort before ``|``).  It memoizes block texts, which repeat across
+    the keys of one listing, so make one per sort or rendering."""
     frag = _Memo(_block_text(n))
     return lambda key: "|".join(map(frag.__getitem__, key))
 
@@ -191,7 +185,7 @@ class SetPartition:
 
     def sort_key(self) -> str:
         """Deterministic total-order key: the comma-rendered cr2 text."""
-        return _text_key()(self.cr2_key())
+        return "|".join(",".join(map(str, b)) for b in self.cr2_key())
 
     def render(self) -> str:
         """Text form; compact digits when n <= 9, comma-separated otherwise.
@@ -295,7 +289,7 @@ def enumerate_partitions(n: int, m: int | None = None) -> list[SetPartition]:
     keys = _iter_partition_keys(range(1, n + 1))
     if m is not None:
         keys = (k for k in keys if len(k) == m)
-    return [SetPartition._from_key(n, k) for k in sorted(keys, key=_text_key())]
+    return [SetPartition._from_key(n, k) for k in sorted(keys, key=_render_key(n))]
 
 
 def _join_key(n: int, a: Blocks, b: Blocks) -> Blocks:

@@ -163,7 +163,7 @@ def _fresh_listing(argv: list, sep: bytes) -> tuple[str, int, float]:
             head = head or chunk[:256]
             chunk = carry + chunk
             seps += chunk.count(sep)
-            carry = chunk[1 - len(sep):]
+            carry = chunk[max(len(chunk) + 1 - len(sep), 0):]  # empty for one byte
         err = proc.stderr.read().decode()
         assert proc.wait() == 0, err
     finally:
@@ -190,6 +190,11 @@ def test_cli_listings_at_the_size_bound_fresh_process():
     head, seps, peak_mb = _fresh_listing(["gencum", "--partition", p.render()], b" + ")
     assert head.startswith("κ[1,1,1,1,1,1,1,1,1,1,1,1] + ")
     assert seps + 1 == bell_number(12) - count_not_complementary(p) == 3_724_180
+    assert peak_mb < 512
+
+    head, lines, peak_mb = _fresh_listing(["partitions", "--n", "12"], b"\n")
+    assert head.startswith("1,10,11,12|2,3,4,5,6,7,8,9\n")  # cr2 text order
+    assert lines == bell_number(12) == 4_213_597
     assert peak_mb < 512
 
 
@@ -259,6 +264,8 @@ def test_cli_bench_bad_types_is_usage_error(capsys, types):
     ["gencum", "--partition", "|".join(map(str, range(1, 17))), "--json"],
     ["gencum", "--partition", "|".join(map(str, range(1, 14)))],
     ["csp", "--partition", ",".join(map(str, range(1, 14))), "--json"],
+    ["partitions", "--n", "13"],
+    ["partitions", "--n", "4", "--m", "5"],
 ])
 def test_cli_ground_set_bound(capsys, argv):
     t0 = time.perf_counter()

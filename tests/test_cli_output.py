@@ -154,7 +154,9 @@ def test_gmc_output(capsys, lam):
     assert _cli(capsys, ["gmc", "--lambda", lam]) == _terms_text(poly)
 
 
-@pytest.mark.parametrize("n, m", [(1, None), (4, None), (4, 2), (7, 3), (10, 9), (10, 10)])
+@pytest.mark.parametrize(
+    "n, m", [(1, None), (4, None), (4, 2), (7, 3), (10, None), (10, 4), (10, 9), (10, 10)]
+)
 def test_partitions_output(capsys, n, m):
     listed = [_plain_render(n, p.blocks) for p in enumerate_partitions(n, m)]
     argv = ["partitions", "--n", str(n)] + ([] if m is None else ["--m", str(m)])

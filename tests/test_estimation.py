@@ -15,6 +15,7 @@ from cumulants import (
     InsufficientSampleError,
     MultiIndexPartition,
     ParseError,
+    Polynomial,
     PowerSumPolynomial,
     SampleMatrix,
     SetPartition,
@@ -370,6 +371,15 @@ def test_estimator_gmc_cov_x1_x2sq():
     )
     assert got == want
     assert got.pretty() == "(N S[1,2] - S[1,0] S[0,2]) / N(N-1)"
+
+
+def test_pretty_of_a_term_without_factors_is_its_coefficient():
+    for c in (1, 2, -1, -2):
+        want = Polynomial(1, {(): c}).pretty()
+        assert PowerSumPolynomial(1, 0, {(): (c,)}).pretty() == want == str(c)
+    assert PowerSumPolynomial(1, 0, {(): (-1, 2)}).pretty() == "(2 N - 1)"
+    got = PowerSumPolynomial(1, 1, {(): (0, 2), mono((1,)): (3,)})
+    assert got.pretty() == "(3 S[1] + 2 N) / N"
 
 
 def test_estimator_gmc_single_column_is_moment_estimator():

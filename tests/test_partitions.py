@@ -26,7 +26,7 @@ from cumulants import (
     power_sum,
     subdivision_coefficient,
 )
-from cumulants.partitions import _mip_walk
+from cumulants.partitions import _iter_partition_keys, _mip_walk, _render_key
 
 
 # --- independent oracles ---------------------------------------------------
@@ -150,6 +150,21 @@ def test_enumerate_returns_cr2_in_text_order():
     assert all(p.form == "cr2" for p in parts)
     keys = [p.sort_key() for p in parts]
     assert keys == sorted(keys)
+
+
+def _comma_text(key):
+    return "|".join(",".join(map(str, b)) for b in key)
+
+
+def test_rendered_text_sorts_as_the_comma_text():
+    # listings sort by the rendered text: up to n = 9 it is compact and must
+    # order keys as the comma text does; from n = 10 the two are one text
+    for n in range(1, 10):
+        keys = list(_iter_partition_keys(range(1, n + 1)))
+        assert sorted(keys, key=_render_key(n)) == sorted(keys, key=_comma_text), n
+    for n in (10, 11):
+        render = _render_key(n)
+        assert all(render(k) == _comma_text(k) for k in _iter_partition_keys(range(1, n + 1)))
 
 
 def test_enumerate_bounds():
