@@ -224,27 +224,29 @@ def _partition_key_term(n: int):
 
 
 @lru_cache(maxsize=None)
-def _expansion(i: MultiIndex, symbol: str) -> Polynomial:
-    """The sum over the multi-index partitions of ``i`` of their column
-    products weighted by subdivision coefficients (the moment in cumulants),
-    or in ``mu`` with the alternating factorial signs (the cumulant in moments)."""
-    terms = {
-        tuple(zip(cols, mults)): (_moebius_weight(sum(mults)) if symbol == "mu" else 1) * coef
+def _expansion(i: MultiIndex, symbol: str) -> tuple[tuple[Term, int], ...]:
+    """The (factor key, coefficient) items of the sum over the multi-index
+    partitions of ``i`` of their column products weighted by subdivision
+    coefficients (the moment in cumulants), or in ``mu`` with the alternating
+    factorial signs (the cumulant in moments); each caller owns its polynomial."""
+    return tuple(
+        (tuple(zip(cols, mults)), (_moebius_weight(sum(mults)) if symbol == "mu" else 1) * coef)
         for cols, mults, coef in _mip_walk(i)
-    }
-    return Polynomial(len(i), terms, symbol)
+    )
 
 
 def moments_to_cumulants(i) -> Polynomial:
     """The moment of order ``i`` written in cumulants: the sum over all
     multi-index partitions of ``i`` weighted by their subdivision coefficients."""
-    return _expansion(_check_multi_index(i), "kappa")
+    i = _check_multi_index(i)
+    return Polynomial(len(i), dict(_expansion(i, "kappa")), "kappa")
 
 
 def cumulants_to_moments(i) -> Polynomial:
     """The cumulant of order ``i`` written in moments, with the alternating
     factorial signs; formally inverse to ``moments_to_cumulants``."""
-    return _expansion(_check_multi_index(i), "mu")
+    i = _check_multi_index(i)
+    return Polynomial(len(i), dict(_expansion(i, "mu")), "mu")
 
 
 def generalized_cumulant(p: SetPartition) -> Polynomial:

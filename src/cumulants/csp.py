@@ -186,30 +186,31 @@ def _twoblock_runs(p: SetPartition, frag, sep, *, numeric: bool = False) -> Iter
     A partition is not complementary exactly when it refines a two-block
     coarsening of ``p``; the walk drops each subtree inside one of those as
     soon as a component closes, so no excluded partition is made.  It
-    streams blocks from the top while more than min(n - 2, ``_MEMO_MAX``)
-    elements are unplaced, then yields the stacked prefix with the memoized
-    survivors of its open components, the memo's own list, so a consumer
-    must not change it.  A text ``frag`` is called once per distinct block,
-    the key tuple's once per use."""
+    places blocks from the top while more than min(n - 2, ``_MEMO_MAX``)
+    elements are unplaced, then yields the placed blocks' prefix with the
+    memoized survivors of its open components, the memo's own list, so a
+    consumer must not change it.  A text ``frag`` is called once per
+    distinct block, the key tuple's once per use."""
     n = p.n
     _check_ground_set(n)
     # making a key tuple costs less than a memo lookup
     lat = _Lattice(n, numeric, _Memo(lambda b: sep + frag(b)).__getitem__ if sep else frag)
     small = min(max(n - 2, 0), _MEMO_MAX)
     comps = tuple(sorted(sum(1 << e for e in b) for b in p.blocks))
-    finished = [sep[:0]]
-    # the top node places the block holding 1, which no separator precedes
-    stack = [(frag(b), rest) for b, rest in reversed(lat.children(comps))]
-    while stack:
-        prefix, comps = stack.pop()
-        if not comps:
-            yield prefix, finished
-        elif sum(comps).bit_count() > small:
-            stack.extend(
-                (prefix + lat.lead(b), rest) for b, rest in reversed(lat.children(comps))
-            )
+    lat.survivors[()] = [sep[:0]]  # a finished node's one, empty, completion
+    yield from _twoblock_walk(lat, small, sep[:0], comps, frag)
+
+
+def _twoblock_walk(lat: _Lattice, small: int, prefix, comps, lead) -> Iterator[tuple]:
+    """The runs below a node: open components ``comps``, text ``prefix``.
+    ``lead`` renders each child's block (``frag`` the one holding 1, which no
+    separator precedes); at most ``small`` unplaced elements yield the memo."""
+    for block, rest in lat.children(comps):
+        key = prefix + lead(block)
+        if sum(rest).bit_count() > small:
+            yield from _twoblock_walk(lat, small, key, rest, lat.lead)
         else:
-            yield prefix, lat.survivor_keys(comps)
+            yield key, lat.survivor_keys(rest)
 
 
 def _twoblock_keys(p: SetPartition) -> Iterator[Blocks]:

@@ -323,8 +323,8 @@ _CHUNK = 1 << 16
 
 
 def load_csv(path, has_header: bool = False) -> SampleMatrix:
-    """Read a rectangular CSV of finite numbers in UTF-8; parse errors carry
-    row/column coordinates.
+    """Read a rectangular CSV of finite numbers in UTF-8, with or without a
+    byte-order mark; parse errors carry row/column coordinates.
 
     The data lines are read in chunks of about 64 KiB.  Each chunk is split on
     commas and its cells are parsed by ``float`` straight into the column
@@ -343,7 +343,7 @@ def _load_csv_columns(path, has_header: bool) -> SampleMatrix:
     """``load_csv``'s plain path; raises ``ValueError`` on what it cannot read."""
     names = None
     columns: list[array] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         if has_header:
             header = next(filter(None, csv.reader(fh)), ())
             names = tuple(cell.strip() for cell in header)
@@ -371,7 +371,7 @@ def _load_csv_cells(path, has_header: bool) -> SampleMatrix:
     width = None
     rows: list[tuple[float, ...]] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             for lineno, record in enumerate(csv.reader(fh), start=1):
                 if not record:
                     continue

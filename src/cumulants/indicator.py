@@ -272,25 +272,27 @@ def indicator_preimages(
     _check_ground_set(labeling.positions)
     p = labeling.positions
     var = {t: k for k in range(labeling.arity) for t in labeling.interval(k + 1)}
-    left = list(mip.multiplicities)
-    found: list[tuple[Column, ...]] = []
+    walk = _preimage_walk(mip.columns, list(mip.multiplicities), var, p, tuple(range(1, p + 1)), ())
+    return [IndicatorMatrix(p, key) for key in sorted(walk, reverse=True)]
 
-    def walk(free: tuple[int, ...], blocks: tuple[Column, ...]) -> None:
-        if not free:
-            found.append(blocks)
-            return
-        t, rest = free[0], free[1:]
-        for j, col in enumerate(mip.columns):
-            if not left[j] or not col[var[t]]:
-                continue
-            need = [e - (k == var[t]) for k, e in enumerate(col)]
-            picks = [combinations([s for s in rest if var[s] == k], e) for k, e in enumerate(need)]
-            left[j] -= 1
-            for chosen in product(*picks):
-                block = {t}.union(*chosen)
-                column = _block_indicator(block, p)
-                walk(tuple(s for s in rest if s not in block), blocks + (column,))
-            left[j] += 1
 
-    walk(tuple(range(1, p + 1)), ())
-    return [IndicatorMatrix(p, key) for key in sorted(found, reverse=True)]
+def _preimage_walk(columns, left, var, p, free, blocks):
+    """The column tuples that complete ``blocks`` on the ``free`` positions:
+    the least free position t opens a block with a column j of ``columns``
+    that has t's variable ``var[t]`` and is not used up (``left[j]`` > 0)."""
+    if not free:
+        yield blocks
+        return
+    t, rest = free[0], free[1:]
+    for j, col in enumerate(columns):
+        if not left[j] or not col[var[t]]:
+            continue
+        need = [e - (k == var[t]) for k, e in enumerate(col)]
+        picks = [combinations([s for s in rest if var[s] == k], e) for k, e in enumerate(need)]
+        left[j] -= 1
+        for chosen in product(*picks):
+            block = {t}.union(*chosen)
+            column = _block_indicator(block, p)
+            free_ = tuple(s for s in rest if s not in block)
+            yield from _preimage_walk(columns, left, var, p, free_, blocks + (column,))
+        left[j] += 1

@@ -231,32 +231,27 @@ def _iter_partition_keys(elements: Sequence[int]) -> Iterator[Blocks]:
     """Yield every partition of ``elements`` as a tuple of blocks.
 
     Blocks are ordered by first occurrence, which is min-element (cr2) order
-    when the input is sorted.  Enumeration follows restricted growth strings,
-    so the order is deterministic.
+    when the input is sorted.  The partitions come in restricted-growth
+    order: each element joins each open block in turn, then opens its own.
     """
-    els = list(elements)
-    n = len(els)
-    if n == 0:
-        yield ()
+    return _grow(tuple(elements), [], 0)
+
+
+def _grow(els: tuple, blocks: list[list[int]], j: int) -> Iterator[Blocks]:
+    """The partitions of ``els`` that extend ``blocks``, a placement of its
+    first ``j`` elements: element j joins each block in turn, then opens a
+    block of its own.  Exhausted, it leaves ``blocks`` as it found it."""
+    if j == len(els):
+        yield tuple(map(tuple, blocks))
         return
-    rgs = [0] * n
-    maxi = [0] * n
-    while True:
-        nblocks = maxi[n - 1] + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for j, g in enumerate(rgs):
-            blocks[g].append(els[j])
-        yield tuple(tuple(b) for b in blocks)
-        j = n - 1
-        while j > 0 and rgs[j] == maxi[j - 1] + 1:
-            j -= 1
-        if j == 0:
-            return
-        rgs[j] += 1
-        maxi[j] = maxi[j - 1] if maxi[j - 1] >= rgs[j] else rgs[j]
-        for t in range(j + 1, n):
-            rgs[t] = 0
-            maxi[t] = maxi[j]
+    e = els[j]
+    for b in blocks:
+        b.append(e)
+        yield from _grow(els, blocks, j + 1)
+        b.pop()
+    blocks.append([e])
+    yield from _grow(els, blocks, j + 1)
+    blocks.pop()
 
 
 def _refinement_keys(blocks: Blocks, lattices: _Memo) -> Iterator[Blocks]:
@@ -490,26 +485,25 @@ def _mip_walk(i) -> Iterator[tuple[tuple[MultiIndex, ...], tuple[int, ...], int]
     if sum(i) > MAX_GROUND_SET:
         raise BoundsError(f"|i| must be <= {MAX_GROUND_SET}, got {sum(i)}")
 
-    def candidates(remaining: MultiIndex, bound: MultiIndex) -> Iterator[MultiIndex]:
-        cols = product(*[range(r, -1, -1) for r in remaining])
-        return takewhile(any, dropwhile(bound.__lt__, cols))
+    yield from _mip_grow(i, i, (), (), 1)
 
-    stack = [(i, candidates(i, i), (), (), 1)]
-    while stack:
-        remaining, cands, cols, mults, coef = stack[-1]
-        for col in cands:
-            if cols and cols[-1] == col:
-                cols_, mults_ = cols, mults[:-1] + (mults[-1] + 1,)
-            else:
-                cols_, mults_ = cols + (col,), mults + (1,)
-            coef_ = coef * math.prod(map(math.comb, remaining, col)) // mults_[-1]
-            rest = tuple(map(sub, remaining, col))
-            if any(rest):
-                stack.append((rest, candidates(rest, col), cols_, mults_, coef_))
-                break
-            yield cols_, mults_, coef_
+
+def _mip_grow(remaining, bound, cols, mults, coef):
+    """The completions of the pushed ``cols`` (repeated ``mults`` times, of
+    coefficient ``coef``): each nonzero column entrywise <= ``remaining`` and
+    at most ``bound``, counted down, is pushed in turn."""
+    cands = product(*[range(r, -1, -1) for r in remaining])
+    for col in takewhile(any, dropwhile(bound.__lt__, cands)):
+        if cols and cols[-1] == col:
+            cols_, mults_ = cols, mults[:-1] + (mults[-1] + 1,)
         else:
-            stack.pop()
+            cols_, mults_ = cols + (col,), mults + (1,)
+        coef_ = coef * math.prod(map(math.comb, remaining, col)) // mults_[-1]
+        rest = tuple(map(sub, remaining, col))
+        if any(rest):
+            yield from _mip_grow(rest, col, cols_, mults_, coef_)
+        else:
+            yield cols_, mults_, coef_
 
 
 def enumerate_multiindex_partitions(i) -> list[MultiIndexPartition]:

@@ -81,6 +81,18 @@ def test_cumulants_to_moments_small():
     assert got.symbol == "mu"
 
 
+def test_conversions_return_polynomials_the_caller_owns():
+    # the expansions are cached; a caller that changes its result must not
+    # change what a later call returns
+    for convert in (moments_to_cumulants, cumulants_to_moments):
+        first = convert((1, 1))
+        want = dict(first.terms)
+        first.terms.clear()
+        again = convert([1, 1])
+        assert again.terms == want and len(want) == 2, convert.__name__
+        assert again is not convert((1, 1)), convert.__name__
+
+
 def test_cumulants_to_moments_111():
     got = cumulants_to_moments((1, 1, 1))
     want = {

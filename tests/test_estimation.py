@@ -596,7 +596,11 @@ def test_load_csv_quoted_numbers(tmp_path):
     (b"1,2\n\n3,4\n", False, ((1.0, 2.0), (3.0, 4.0)), None),
     (b"1,2\n3,4", False, ((1.0, 2.0), (3.0, 4.0)), None),
     (b'"x1","x2"\n1,2\n3,4\n', True, ((1.0, 2.0), (3.0, 4.0)), ("x1", "x2")),
-], ids=["crlf", "blank-line", "no-final-newline", "quoted-header"])
+    (b"\xef\xbb\xbf1,2\n3,4\n", False, ((1.0, 2.0), (3.0, 4.0)), None),
+    (b"\xef\xbb\xbfx1,x2\n1,2\n3,4\n", True, ((1.0, 2.0), (3.0, 4.0)), ("x1", "x2")),
+    (b'\xef\xbb\xbf"x1","x2"\n"1",2\n', True, ((1.0, 2.0),), ("x1", "x2")),
+], ids=["crlf", "blank-line", "no-final-newline", "quoted-header",
+        "byte-order-mark", "byte-order-mark-header", "byte-order-mark-quoted"])
 def test_load_csv_accepts(tmp_path, content, has_header, rows, names):
     path = tmp_path / "d.csv"
     path.write_bytes(content)

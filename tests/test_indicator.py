@@ -1,5 +1,6 @@
 """Indicator matrices, span intersections and the dummy-variable transforms."""
 
+import gc
 import time
 from fractions import Fraction
 from itertools import product
@@ -29,6 +30,8 @@ from cumulants import (
     to_dummy_indicator,
     to_indicator,
 )
+from cumulants.csp import _twoblock_keys, _twoblock_runs
+from cumulants.partitions import _block_text, _iter_partition_keys, _mip_walk
 
 
 def positive_targets(max_order):
@@ -274,6 +277,31 @@ def test_preimage_counts_match_subdivision_coefficient():
             assert len(pre) == subdivision_coefficient(mip), mip
             for mat in pre:
                 assert collapse_indicator(mat, lab) == mip
+
+
+_P8 = SetPartition.parse("1,4,7|2,5,8|3,6")
+_MIP = MultiIndexPartition.parse("2,1|1,2|1,1")
+_WALKS = {
+    "partition-keys": lambda: list(_iter_partition_keys(range(1, 8))),
+    "mip-walk": lambda: list(_mip_walk((3, 3))),
+    "twoblock-runs": lambda: list(_twoblock_runs(_P8, _block_text(8), "|")),
+    "twoblock-keys": lambda: list(_twoblock_keys(_P8)),
+    "preimages": lambda: indicator_preimages(_MIP, labeling_rule(_MIP.target)),
+}
+
+
+@pytest.mark.parametrize("walk", _WALKS)
+def test_walks_leave_no_cyclic_garbage(walk):
+    # with the collector off, whatever a walk leaves in a reference cycle
+    # outlives it; the first call warms any cache the walk fills
+    _WALKS[walk]()
+    gc.collect()
+    gc.disable()
+    try:
+        _WALKS[walk]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_preimages_of_repeated_columns_are_fast():

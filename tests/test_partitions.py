@@ -167,6 +167,39 @@ def test_rendered_text_sorts_as_the_comma_text():
         assert all(render(k) == _comma_text(k) for k in _iter_partition_keys(range(1, n + 1)))
 
 
+def test_partition_walk_counts_are_the_bell_numbers():
+    bell = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147)
+    for n, want in enumerate(bell):
+        assert sum(1 for _ in _iter_partition_keys(range(1, n + 1))) == want, n
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [range(1, 8), ((3, 4), (1,), (2, 5), (6,), (0,), (7, 8))],
+    ids=["range", "tuple-of-tuples"],
+)
+def test_partition_walk_is_in_restricted_growth_order(elements):
+    # each key read back as its restricted growth string (the block index of
+    # each element, in input order): the strings strictly increase, and the
+    # blocks come in first-occurrence order, each in input order
+    pos = {e: j for j, e in enumerate(elements)}
+    strings = []
+    for key in _iter_partition_keys(elements):
+        rgs = [None] * len(pos)
+        for g, block in enumerate(key):
+            at = [pos[e] for e in block]
+            assert at == sorted(at), key
+            for j in at:
+                assert rgs[j] is None, key
+                rgs[j] = g
+        assert None not in rgs, key
+        firsts = [rgs.index(g) for g in range(len(key))]
+        assert firsts == sorted(firsts), key
+        strings.append(rgs)
+    assert all(a < b for a, b in zip(strings, strings[1:]))
+    assert len(strings) == bell_oracle(len(pos))
+
+
 def test_enumerate_bounds():
     with pytest.raises(BoundsError):
         enumerate_partitions(0)
