@@ -6,8 +6,12 @@ in N over a falling-factorial denominator N(N-1)...(N-r+1), where r is the
 largest number of power-sum factors in any monomial.
 
 A sample is stored by column, one ``array('d')`` per variable.  ``load_csv``
-parses plain CSV text in chunks straight into those arrays and falls back to
-a cell-by-cell reader, which locates errors, on anything else.
+parses plain CSV text in chunks of about 64 KiB straight into those arrays:
+one shape check per chunk (its commas and line feeds against the same comma
+row repeated), one split and one ``float`` pass.  Entries are proved finite by
+the column sums, since a non-finite entry makes its column's sum non-finite;
+they are scanned one by one only when a sum is not finite.  Anything else goes
+to a cell-by-cell reader, which locates errors.
 
 Evaluation is exact as well: every finite float is an integer times a power
 of two, so each column is converted to integers once per sample, the power
@@ -23,7 +27,7 @@ import math
 from array import array
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter, mul
 
 from .errors import (
@@ -254,14 +258,14 @@ class SampleMatrix:
     def _adopt(self, columns: tuple[array, ...], names) -> None:
         if not columns or not columns[0]:
             raise ValueError("need at least one row and one column")
-        if not all(map(math.isfinite, chain.from_iterable(columns))):
-            r, c = next(
-                (r, c)
-                for r, row in enumerate(zip(*columns), start=1)
-                for c, x in enumerate(row, start=1)
-                if not math.isfinite(x)
-            )
-            raise ValueError(f"non-finite entry at row {r}, column {c}")
+        # A non-finite partial sum never becomes finite again, so a finite column
+        # sum proves every entry finite.  Entries are scanned only when a sum is
+        # not finite: on a bad entry, or on finite entries whose sum overflows.
+        if not all(map(math.isfinite, map(sum, columns))):
+            for r, row in enumerate(zip(*columns), start=1):
+                for c, x in enumerate(row, start=1):
+                    if not math.isfinite(x):
+                        raise ValueError(f"non-finite entry at row {r}, column {c}")
         if names is not None and len(names) != len(columns):
             raise ValueError(f"{len(names)} names for {len(columns)} columns")
         self.columns = columns
@@ -321,17 +325,25 @@ def _integer_column(columns, j: int) -> tuple[int, list[int]]:
 #: ``load_csv`` reads its data lines in chunks of about this many characters.
 _CHUNK = 1 << 16
 
+#: Every byte but the comma and the line feed, which a chunk's shape check deletes.
+_NOT_SEP = bytes(sorted(set(range(256)) - set(b",\n")))
+
 
 def load_csv(path, has_header: bool = False) -> SampleMatrix:
     """Read a rectangular CSV of finite numbers in UTF-8, with or without a
     byte-order mark; parse errors carry row/column coordinates.
 
-    The data lines are read in chunks of about 64 KiB.  Each chunk is split on
-    commas and its cells are parsed by ``float`` straight into the column
-    arrays, so neither row tuples nor the whole text are held.  A file that
-    has quotes, ragged or over-long lines, a cell that is not a finite number,
-    or any decoding error is read again by the cell-by-cell reader, which
-    reports where the error is.
+    The data lines are read in chunks of about 64 KiB, each cut at its last
+    line break.  In each chunk CRLF and lone CR line ends become ``\\n`` and
+    blank lines are dropped.  Its shape is checked once: every byte but the
+    commas and line feeds is deleted, and what is left must be the first
+    row's commas repeated, one line feed between rows.  Then all its cells
+    are parsed by one ``float`` pass straight into the column arrays, so
+    neither row tuples nor the whole text are held.  Finiteness is decided
+    from the column sums, as for every ``SampleMatrix``.  A file that has
+    quotes, ragged or over-long lines, an underscore, a cell that is not a
+    finite number, or any decoding error is read again by the cell-by-cell
+    reader, which reports where the error is.
     """
     try:
         return _load_csv_columns(path, has_header)
@@ -339,26 +351,57 @@ def load_csv(path, has_header: bool = False) -> SampleMatrix:
         return _load_csv_cells(path, has_header)
 
 
+def _line_chunks(fh, limit: int):
+    """The rest of ``fh`` in pieces of about ``_CHUNK`` characters, each but
+    the last cut at its last line break (``\\n`` or ``\\r``), which is dropped.
+    Raises ``ValueError`` once the partial line carried to the next piece is
+    longer than ``limit``.  No more than the chunk and its piece are held."""
+    carry = ""
+    while chunk := fh.read(_CHUNK):
+        cut = max(chunk.rfind("\n"), chunk.rfind("\r"))
+        if cut < 0:
+            carry += chunk
+            if len(carry) > limit:
+                raise ValueError("a line longer than the field size limit")
+            continue
+        yield carry + chunk[:cut]
+        carry = chunk[cut + 1:]
+    yield carry
+
+
 def _load_csv_columns(path, has_header: bool) -> SampleMatrix:
     """``load_csv``'s plain path; raises ``ValueError`` on what it cannot read."""
     names = None
     columns: list[array] = []
+    limit = csv.field_size_limit()
     with open(path, newline="", encoding="utf-8-sig") as fh:
         if has_header:
             header = next(filter(None, csv.reader(fh)), ())
             names = tuple(cell.strip() for cell in header)
             columns = [array("d") for _ in names]
-        while lines := fh.readlines(_CHUNK):
-            rows = [row for row in map(str.rstrip, lines, repeat("\r\n")) if row]
-            if not rows:
+        for text in _line_chunks(fh, limit):
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            text = text.strip("\n")  # a CRLF cut between chunks leaves a leading "\n"
+            if not text:
                 continue
+            if "_" in text:  # float takes PEP 515 digit separators; a cell may not
+                raise ValueError("an underscore in a cell")
+            # The commas and line feeds, one byte a cell: a blank line leaves
+            # "\n\n" here too, and here is much shorter to search.
+            sep = text.encode().translate(None, _NOT_SEP)
+            if b"\n\n" in sep and "\n\n" in text:
+                while "\n\n" in text:
+                    text = text.replace("\n\n", "\n")
+                sep = text.encode().translate(None, _NOT_SEP)
             if not columns:
-                columns = [array("d") for _ in range(rows[0].count(",") + 1)]
+                columns = [array("d") for _ in range(text.partition("\n")[0].count(",") + 1)]
             width = len(columns)
-            if (max(map(len, rows)) > csv.field_size_limit()
-                    or set(map(str.count, rows, repeat(","))) != {width - 1}):
+            row = b"," * (width - 1)
+            if (sep != (row + b"\n") * sep.count(b"\n") + row
+                    or len(text) > limit and max(map(len, text.split("\n"))) > limit):
                 raise ValueError("not a plain CSV chunk")
-            cells = array("d", map(float, ",".join(rows).split(",")))  # refuses quotes
+            cells = array("d", map(float, text.replace("\n", ",").split(",")))  # refuses quotes
             for j, column in enumerate(columns):
                 column.extend(cells[j::width])
     return SampleMatrix._from_columns(tuple(columns), names)
@@ -387,6 +430,8 @@ def _load_csv_cells(path, has_header: bool) -> SampleMatrix:
                 vals = []
                 for col, cell in enumerate(record, start=1):
                     try:
+                        if "_" in cell:  # float takes PEP 515 digit separators
+                            raise ValueError(cell)
                         x = float(cell)
                     except ValueError:
                         raise ParseError(

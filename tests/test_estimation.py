@@ -1,11 +1,16 @@
 """Power sums, distinct-index statistics, polykays and estimator evaluation."""
 
+import csv
+import io
+import json
 import math
 import random
 import time
+import tracemalloc
 from array import array
 from fractions import Fraction
 from itertools import permutations, product
+from unittest.mock import patch
 
 import pytest
 
@@ -30,6 +35,8 @@ from cumulants import (
     power_sum,
     to_indicator,
 )
+from cumulants import estimation
+from cumulants.cli import main
 from cumulants.estimation import _integer_column
 
 
@@ -613,7 +620,10 @@ def test_load_csv_accepts(tmp_path, content, has_header, rows, names):
     (b"1,2\n3,0." + b"0" * 200_000 + b"1\n", False, "field larger than field limit"),
     (b"x1,x2\n", True, "no data rows"),
     (b"1,2\n  \n3,4\n", False, "row 2 has 1 fields"),
-], ids=["nul", "oversized-finite-field", "header-only", "whitespace-line"])
+    (b"3,4\n1_0,2\n", False, "non-numeric value '1_0' at row 2, column 1"),
+    (b"1,2\n3,0." + b"0" * 131_080 + b"1\n", False, "field larger than field limit"),
+], ids=["nul", "oversized-finite-field", "header-only", "whitespace-line", "underscore",
+        "oversized-field-in-one-piece"])
 def test_load_csv_rejects(tmp_path, content, has_header, message):
     path = tmp_path / "d.csv"
     path.write_bytes(content)
@@ -627,6 +637,149 @@ def test_load_csv_empty(tmp_path):
     path.write_text("")
     with pytest.raises(ParseError):
         load_csv(path)
+
+
+def _sample_or_error(read, path, has_header):
+    """What a reader makes of a file: its column bytes and names, or the text
+    of the ``ParseError`` it raises."""
+    try:
+        data = read(path, has_header)
+    except ParseError as exc:
+        return str(exc)
+    return [c.tobytes() for c in data.columns], data.names
+
+
+def test_load_csv_plain_path_reads_like_the_cell_reader(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    numeral = st.builds(
+        "{}{}{}{}{}".format,
+        st.sampled_from(["", " "]),
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from(["0", "7", "12", "3.5", ".25", "4."]),
+        st.sampled_from(["", "e3", "E-2", "e+1"]),
+        st.sampled_from(["", " ", "  "]),
+    )
+    odd = st.sampled_from(["", "x", "nan", "-inf", "1e999", "1_0", '"3"', '" 2.5"', "\x00"])
+
+    @st.composite
+    def files(draw):
+        width = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(numeral, min_size=width, max_size=width),
+                             min_size=1, max_size=6))
+        plain = not draw(st.booleans())
+        if not plain:  # one cell that is not a plain numeral
+            rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, width - 1))] = draw(odd)
+        lines = [",".join(row) for row in rows]
+        for at in draw(st.lists(st.integers(0, len(lines)), max_size=2)):
+            lines.insert(at, draw(st.sampled_from(["", "", "  "])))
+            plain = plain and lines[at] == ""
+        if draw(st.integers(0, 3)) == 0:  # a ragged row
+            at = draw(st.integers(0, len(lines) - 1))
+            lines[at] = draw(st.sampled_from([lines[at] + ",1", lines[at].rpartition(",")[0]]))
+            plain = False
+        has_header = draw(st.booleans())
+        if has_header:
+            quote = draw(st.sampled_from(["", '"']))
+            lines.insert(0, ",".join(f"{quote}x{j}{quote}" for j in range(width)))
+        ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                             min_size=len(lines), max_size=len(lines)))
+        if not draw(st.booleans()):  # no final line end
+            ends[-1] = ""
+        text = "".join(map(str.__add__, lines, ends))
+        bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+        chunk = draw(st.sampled_from([1, 2, 5, 1 << 16]))
+        return bom + text.encode(), has_header, chunk, plain
+
+    path = tmp_path / "d.csv"
+
+    @hypothesis.settings(deadline=None, derandomize=True, max_examples=400)
+    @hypothesis.given(files())
+    def check(case):
+        content, has_header, chunk, plain = case
+        path.write_bytes(content)
+        want = _sample_or_error(estimation._load_csv_cells, path, has_header)
+        with patch.object(estimation, "_CHUNK", chunk):
+            assert _sample_or_error(load_csv, path, has_header) == want
+            try:
+                read = _sample_or_error(estimation._load_csv_columns, path, has_header)
+            except (ValueError, csv.Error):
+                assert not plain  # every file of plain numerals takes the plain path
+                return
+        assert read == want
+
+    check()
+
+
+def _rows_ending_at(end, eol):
+    """About 150 KiB of rows "r.25,-r", each followed by ``eol``; the row that
+    ends near character ``end`` has leading zeros, so that it ends exactly there."""
+    text, padded, r = "", False, 0
+    while len(text) < 150 * 1024:
+        r += 1
+        row = f"{r}.25,-{r}"
+        if not padded and end - len(text) < 40 + len(row):
+            row, padded = row.rjust(end - len(text), "0"), True
+        text += row + eol
+    return text, r
+
+
+@pytest.mark.parametrize("end, eol", [
+    (estimation._CHUNK - 1, "\r\n"),
+    (estimation._CHUNK + 5, "\n"),
+    (estimation._CHUNK + 5, "\r"),
+], ids=["crlf-pair-across-the-chunk", "row-across-the-chunk", "lone-cr"])
+def test_load_csv_reads_rows_across_chunk_boundaries(tmp_path, end, eol):
+    text, rows = _rows_ending_at(end, eol)
+    assert text[end:end + len(eol)] == eol
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    with open(path, newline="", encoding="utf-8") as fh:  # at most a chunk and a row a piece
+        pieces = estimation._line_chunks(fh, csv.field_size_limit())
+        assert max(map(len, pieces)) < estimation._CHUNK + 40
+    plain = estimation._load_csv_columns(path, False)
+    assert plain.columns == (array("d", (r + 0.25 for r in range(1, rows + 1))),
+                             array("d", (-r for r in range(1, rows + 1))))
+    want = _sample_or_error(estimation._load_csv_cells, path, False)
+    assert _sample_or_error(load_csv, path, False) == want == (
+        [c.tobytes() for c in plain.columns], None)
+
+
+def test_line_chunks_refuse_a_line_longer_than_the_limit():
+    with patch.object(estimation, "_CHUNK", 64):
+        pieces = estimation._line_chunks(io.StringIO("1,2\n" + "0" * 300), 100)
+        assert next(pieces) == "1,2"
+        with pytest.raises(ValueError):  # before the line is read to its end
+            next(pieces)
+
+
+def test_load_csv_accepts_finite_columns_whose_sum_overflows(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("1e308,1\n1e308,2\n")
+    data = estimation._load_csv_columns(path, False)
+    assert data.rows == load_csv(path).rows == ((1e308, 1.0), (1e308, 2.0))
+    assert sum(data.columns[0]) == math.inf
+    assert main(["estimate", "--data", str(path), "--lambda", "1,0|0,1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["estimate"] == 0.0
+    with pytest.raises(ValueError, match="row 3, column 1"):
+        SampleMatrix.from_rows([[1e308, 1.0], [1e308, 2.0], [-math.inf, 3.0]])
+
+
+def test_load_csv_peak_memory_is_below_twice_the_columns(tmp_path):
+    rng = random.Random(11)
+    path = tmp_path / "d.csv"
+    path.write_text("".join(
+        f"{rng.random():.12f},{rng.gauss(0.0, 1.0):.12f},{r}\n" for r in range(100_000)
+    ))
+    tracemalloc.start()
+    try:
+        data = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(len(c) * c.itemsize for c in data.columns)
+    assert data.num_rows == 100_000 and held == 2_400_000
+    assert peak < 2 * held
 
 
 def test_sample_matrix_validation():
