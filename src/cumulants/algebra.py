@@ -217,8 +217,8 @@ class Polynomial:
 def _partition_key_term(n: int):
     """A function giving the factor key of a cr2 block key over [n]: one
     (indicator, 1) factor per block.  cr2 order is decreasing indicator order,
-    so the factors need no sort.  Blocks repeat across a listing's keys, so
-    the function memoizes their factors; make one per listing."""
+    so the factors need no sort.  Blocks repeat across keys, so the function
+    memoizes their factors; make one per set of keys."""
     factor = _Memo(lambda b: (_block_indicator(b, n), 1))
     return lambda key: tuple(map(factor.__getitem__, key))
 
@@ -256,8 +256,9 @@ def generalized_cumulant(p: SetPartition) -> Polynomial:
     the product of the joint cumulants of its blocks, each encoded by the
     block's 0/1 indicator multi-index.  All coefficients are 1.
     """
-    term = _partition_key_term(p.n)
-    return Polynomial._from_terms(p.n, dict.fromkeys(map(term, _twoblock_keys(p)), 1))
+    n = p.n
+    factor = _Memo(lambda b: ((_block_indicator(b, n), 1),))
+    return Polynomial._from_terms(n, dict.fromkeys(_twoblock_keys(p, factor.__getitem__), 1))
 
 
 def generalized_cumulant_subtractive(p: SetPartition) -> Polynomial:
@@ -295,10 +296,10 @@ def generalized_multivariate_cumulant(mip: MultiIndexPartition) -> Polynomial:
     """
     dummy = from_indicator(to_dummy_indicator(mip))
     bounds = labeling_rule(mip.target).bounds()
-    collapse = _Memo(lambda b: (_interval_sums(_block_indicator(b, dummy.n), bounds), 1))
+    collapse = _Memo(lambda b: ((_interval_sums(_block_indicator(b, dummy.n), bounds), 1),))
     terms: dict[Term, int] = {}
-    for key in _twoblock_keys(dummy):
-        collapsed = _term(map(collapse.__getitem__, key))
+    for key in _twoblock_keys(dummy, collapse.__getitem__):
+        collapsed = _term(key)
         terms[collapsed] = terms.get(collapsed, 0) + 1
     return Polynomial._from_terms(mip.arity, terms)
 

@@ -213,9 +213,12 @@ def _twoblock_walk(lat: _Lattice, small: int, prefix, comps, lead) -> Iterator[t
             yield key, lat.survivor_keys(rest)
 
 
-def _twoblock_keys(p: SetPartition) -> Iterator[Blocks]:
-    """The cr2 keys of ``_twoblock_runs``, one by one, in cr2 text order."""
-    runs = _twoblock_runs(p, lambda b: (b,), ())
+def _twoblock_keys(p: SetPartition, frag=lambda b: (b,)) -> Iterator[tuple]:
+    """The keys of ``_twoblock_runs``, one by one, in cr2 text order: each the
+    tuple ``frag`` gives for each of its blocks, concatenated.  The default
+    gives cr2 keys; ``frag`` is called once per use, so a costly one should
+    be memoized."""
+    runs = _twoblock_runs(p, frag, ())
     return chain.from_iterable(map(prefix.__add__, suffixes) for prefix, suffixes in runs)
 
 

@@ -11,7 +11,8 @@ one shape check per chunk (its commas and line feeds against the same comma
 row repeated), one split and one ``float`` pass.  Entries are proved finite by
 the column sums, since a non-finite entry makes its column's sum non-finite;
 they are scanned one by one only when a sum is not finite.  Anything else goes
-to a cell-by-cell reader, which locates errors.
+to a cell-by-cell reader, which appends each cell to its column and locates
+errors.
 
 Evaluation is exact as well: every finite float is an integer times a power
 of two, so each column is converted to integers once per sample, the power
@@ -408,27 +409,26 @@ def _load_csv_columns(path, has_header: bool) -> SampleMatrix:
 
 
 def _load_csv_cells(path, has_header: bool) -> SampleMatrix:
-    """``load_csv`` one cell at a time, raising the ``ParseError`` of the first
-    ragged row, non-numeric cell, non-finite cell or CSV error."""
+    """``load_csv`` one cell at a time, each appended to its column array,
+    raising the ``ParseError`` of the first ragged row, non-numeric cell,
+    non-finite cell or CSV error."""
     names = None
-    width = None
-    rows: list[tuple[float, ...]] = []
+    columns: list[array] = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             for lineno, record in enumerate(csv.reader(fh), start=1):
                 if not record:
                     continue
-                if width is None:
-                    width = len(record)
+                if not columns:
+                    columns = [array("d") for _ in record]
                     if has_header:
                         names = tuple(cell.strip() for cell in record)
                         continue
-                if len(record) != width:
+                if len(record) != len(columns):
                     raise ParseError(
-                        f"row {lineno} has {len(record)} fields, expected {width}"
+                        f"row {lineno} has {len(record)} fields, expected {len(columns)}"
                     )
-                vals = []
-                for col, cell in enumerate(record, start=1):
+                for col, (column, cell) in enumerate(zip(columns, record), start=1):
                     try:
                         if "_" in cell:  # float takes PEP 515 digit separators
                             raise ValueError(cell)
@@ -441,15 +441,14 @@ def _load_csv_cells(path, has_header: bool) -> SampleMatrix:
                         raise ParseError(
                             f"non-finite value {cell.strip()!r} at row {lineno}, column {col}"
                         )
-                    vals.append(x)
-                rows.append(tuple(vals))
+                    column.append(x)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
     except csv.Error as exc:
         raise ParseError(f"{path} is not a valid CSV file: {exc}") from None
-    if not rows:
+    if not columns or not columns[0]:
         raise ParseError("no data rows")
-    return SampleMatrix(tuple(rows), names)
+    return SampleMatrix._from_columns(tuple(columns), names)
 
 
 def power_sum(data: SampleMatrix, t) -> Fraction:
@@ -512,9 +511,8 @@ def polykay(mip: MultiIndexPartition) -> PowerSumPolynomial:
     """
     _check_ground_set(sum(mip.target))
     arity = mip.arity
-    mp = Polynomial.one(arity, "mu")
-    for col, rep in zip(mip.columns, mip.multiplicities):
-        mp = mp * (cumulants_to_moments(col) ** rep)
+    kappas = Polynomial(arity, {_term(zip(mip.columns, mip.multiplicities)): 1})
+    mp = kappas.substitute(cumulants_to_moments, "mu")
     total = PowerSumPolynomial.zero(arity)
     for key, coeff in mp.terms.items():
         factor_list: list[MultiIndex] = []

@@ -1,8 +1,9 @@
 """Exact linear algebra over the integers and rationals.
 
-Rank uses fraction-free (Bareiss) elimination on integers; nullspace bases are
-extracted from a rational reduced row echelon form.  No floating point is used
-anywhere: rank decisions feed discrete predicates and must be exact.
+Both rest on one elimination: rank is fraction-free (Bareiss) elimination on
+integers, and a nullspace basis is back-substituted in rationals from the
+echelon rows that elimination leaves.  No floating point is used anywhere:
+rank decisions feed discrete predicates and must be exact.
 """
 
 from __future__ import annotations
@@ -45,37 +46,21 @@ def integer_rank(rows: list[list[int]]) -> int:
 
 
 def nullspace_basis(rows: list[list[int]]) -> list[tuple[Fraction, ...]]:
-    """Basis of the rational nullspace, one vector per free column of the RREF."""
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    pivot_set = set(pivots)
+    """Basis of the rational nullspace, one vector per free column: that
+    column is 1, the other free columns are 0, and the pivot columns are
+    solved from the echelon rows ``integer_rank`` leaves, bottom row first.
+    Every echelon form has the same pivot columns and each such vector is
+    unique, so the basis is the one a reduced row echelon form gives.
+    ``rows`` is left unchanged."""
+    m = [list(row) for row in rows]
+    echelon = m[:integer_rank(m)]
+    pivots = [next(c for c, x in enumerate(row) if x) for row in echelon]
+    nc = len(m[0]) if m else 0
     basis = []
-    for fc in (c for c in range(nc) if c not in pivot_set):
+    for fc in (c for c in range(nc) if c not in pivots):
         v = [Fraction(0)] * nc
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
+        for pc, row in zip(reversed(pivots), reversed(echelon)):
+            v[pc] = -sum((row[c] * v[c] for c in range(pc + 1, nc)), Fraction(0)) / row[pc]
         basis.append(tuple(v))
     return basis

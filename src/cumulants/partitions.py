@@ -156,7 +156,7 @@ class SetPartition:
                     block = tuple(int(e) for e in tok.split(","))
                 except ValueError:
                     raise ParseError(f"bad element in block {tok!r}") from None
-            elif tok.isdigit():
+            elif tok.isdecimal():  # isdigit also takes '²' and '①', which int refuses
                 block = tuple(int(ch) for ch in tok)
             else:
                 raise ParseError(f"bad block {tok!r}")

@@ -300,6 +300,17 @@ def test_cli_estimate_bad_data_is_parse_error(capsys, tmp_path, content):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["csp", "--partition", "1²"],
+    ["gencum", "--partition", "①|2"],
+])
+def test_cli_non_decimal_digit_is_parse_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_cli_computation_errors(capsys, tmp_path):
     assert main(["csp", "--partition", "1|1"]) == 2
     assert "error" in capsys.readouterr().err

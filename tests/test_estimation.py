@@ -782,6 +782,25 @@ def test_load_csv_peak_memory_is_below_twice_the_columns(tmp_path):
     assert peak < 2 * held
 
 
+def test_load_csv_cell_reader_peak_memory_is_below_twice_the_columns(tmp_path):
+    # quoted cells send the file to the cell reader
+    rng = random.Random(12)
+    path = tmp_path / "d.csv"
+    path.write_text("".join(
+        f'"{rng.random():.12f}","{rng.gauss(0.0, 1.0):.12f}","{r}"\n' for r in range(100_000)
+    ))
+    tracemalloc.start()
+    try:
+        data = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(len(c) * c.itemsize for c in data.columns)
+    assert data.num_rows == 100_000 and held == 2_400_000
+    assert data.columns[2] == array("d", range(100_000))
+    assert peak < 2 * held
+
+
 def test_sample_matrix_validation():
     with pytest.raises(ValueError):
         SampleMatrix.from_rows([[1.0, 2.0], [3.0]])

@@ -349,7 +349,10 @@ def test_render_round_trip_of_ten_or_more_singletons():
         assert SetPartition.parse(p.render()) == p
 
 
-@pytest.mark.parametrize("bad", ["", "1|", "1|1", "1|3", "a|b", "1,x|2", "12|3|"])
+# "1²", "1|²" and "①|2": str.isdigit is true for superscripts and circled digits,
+# which int refuses
+@pytest.mark.parametrize("bad", ["", "1|", "1|1", "1|3", "a|b", "1,x|2", "12|3|",
+                                 "1²", "1|²", "①|2"])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         SetPartition.parse(bad)
