@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass, field
 
 from .csp import ALGORITHM_NAMES, CSP_ALGORITHMS
 from .errors import AlgebraConsistencyError, BoundsError
-from .partitions import IntegerPartition, SetPartition, bell_number
+from .partitions import IntegerPartition, SetPartition, _Record, bell_number
 
 #: Default instance list (block-size types with ground sets up to 9).
 DEFAULT_TYPES = (
@@ -42,20 +41,26 @@ def instance_partition(block_type: IntegerPartition) -> SetPartition:
     return SetPartition(block_type.n, blocks)
 
 
-@dataclass
-class BenchRow:
-    block_type: IntegerPartition
-    median_seconds: dict[str, float]
-    complementary_count: int
-    not_complementary_count: int
+class BenchRow(_Record):
+    _fields = ("block_type", "median_seconds", "complementary_count", "not_complementary_count")
+
+    def __init__(self, block_type: IntegerPartition, median_seconds: dict[str, float],
+                 complementary_count: int, not_complementary_count: int):
+        self.block_type = block_type
+        self.median_seconds = median_seconds
+        self.complementary_count = complementary_count
+        self.not_complementary_count = not_complementary_count
 
 
-@dataclass
-class BenchReport:
-    rows: list[BenchRow] = field(default_factory=list)
-    reps: int = 0
-    warmup: int = 1
-    clock_resolution: float = 0.0
+class BenchReport(_Record):
+    _fields = ("rows", "reps", "warmup", "clock_resolution")
+
+    def __init__(self, rows: list[BenchRow] | None = None, reps: int = 0, warmup: int = 1,
+                 clock_resolution: float = 0.0):
+        self.rows = [] if rows is None else rows
+        self.reps = reps
+        self.warmup = warmup
+        self.clock_resolution = clock_resolution
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 from time import perf_counter
@@ -210,11 +211,9 @@ def _cmd_bench(args) -> int:
     types = args.types
     if not types:
         types = [IntegerPartition(t) for t in bench_mod.DEFAULT_TYPES]
-    report = bench_mod.run_bench(types, args.reps)
-    doc = report.to_json_dict()
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2)
+    with open(args.out or os.devnull, "w") as out:  # an unwritable path fails before timing
+        doc = bench_mod.run_bench(types, args.reps).to_json_dict()
+        json.dump(doc, out, indent=2)
     if args.json:
         print(json.dumps(doc))
     else:

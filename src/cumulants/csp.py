@@ -17,11 +17,10 @@ Every algorithm returns the same set, ordered by the cr2 text key:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from functools import cached_property
 from itertools import chain
 from time import perf_counter
-from typing import Callable, Iterator
 
 from .errors import AlgebraConsistencyError, IncompatibleTypeError
 from .indicator import IndicatorMatrix, _block_indicator, from_indicator
@@ -31,6 +30,7 @@ from .partitions import (
     MultiIndexPartition,
     SetPartition,
     _Memo,
+    _Record,
     _check_ground_set,
     _coarsening_keys,
     _column_groupings,
@@ -45,17 +45,20 @@ from .partitions import (
 ALGORITHM_NAMES = ("twoblock", "graph", "laplacian", "nullspace", "stafford")
 
 
-@dataclass
-class CspResult:
+class CspResult(_Record):
     """Output container: the input, the algorithm used, the listing and the
     wall time.  The listing is ``keys``, the cr2 block tuples in cr2 text
     order; ``complementary`` is the same listing as ``SetPartition``s, built
     on first access and kept, so ``elapsed`` covers no per-entry object."""
 
-    input: SetPartition
-    algorithm: str
-    keys: tuple[Blocks, ...]
-    elapsed: float
+    _fields = ("input", "algorithm", "keys", "elapsed")
+
+    def __init__(self, input: SetPartition, algorithm: str, keys: tuple[Blocks, ...],
+                 elapsed: float):
+        self.input = input
+        self.algorithm = algorithm
+        self.keys = keys
+        self.elapsed = elapsed
 
     @cached_property
     def complementary(self) -> tuple[SetPartition, ...]:

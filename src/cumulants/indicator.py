@@ -15,20 +15,18 @@ rows variable by variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import DimensionError, MalformedMatrixError, ParseError
 from .linalg import integer_rank, nullspace_basis
 from .partitions import MultiIndex, MultiIndexPartition, SetPartition, _check_ground_set
-from .partitions import _check_multi_index
+from .partitions import _Frozen, _check_multi_index
 
 Column = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IndicatorMatrix:
+class IndicatorMatrix(_Frozen):
     """Binary matrix whose columns are the block indicators of a partition.
 
     Every row carries exactly one 1, columns are nonzero and stored in
@@ -36,26 +34,27 @@ class IndicatorMatrix:
     the encoded partition).
     """
 
-    n: int
-    columns: tuple[Column, ...]
+    _fields = ("n", "columns")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, columns: tuple[Column, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "columns", columns)
+        if n < 1:
             raise MalformedMatrixError("need at least one row")
-        if not self.columns:
+        if not columns:
             raise MalformedMatrixError("need at least one column")
-        for col in self.columns:
-            if len(col) != self.n:
+        for col in columns:
+            if len(col) != n:
                 raise MalformedMatrixError("column length differs from row count")
             if any(e not in (0, 1) for e in col):
                 raise MalformedMatrixError("entries must be 0 or 1")
             if not any(col):
                 raise MalformedMatrixError("zero column")
-        for t in range(self.n):
-            ones = sum(col[t] for col in self.columns)
+        for t in range(n):
+            ones = sum(col[t] for col in columns)
             if ones != 1:
                 raise MalformedMatrixError(f"row {t + 1} has {ones} ones, expected 1")
-        for a, b in zip(self.columns, self.columns[1:]):
+        for a, b in zip(columns, columns[1:]):
             if not a > b:
                 raise MalformedMatrixError("columns must be strictly decreasing")
 
@@ -176,8 +175,7 @@ def same_equivalence_class(base: SetPartition, p: SetPartition, q: SetPartition)
     return _canonical_matrix(m1) == _canonical_matrix(m2)
 
 
-@dataclass(frozen=True)
-class VariableLabeling:
+class VariableLabeling(_Frozen):
     """Interval map sending dummy positions 1..p back onto variables 1..n.
 
     Variable k owns the ``target[k-1]`` consecutive positions that follow the
@@ -185,10 +183,10 @@ class VariableLabeling:
     intervals covering 1..p.
     """
 
-    target: MultiIndex
+    _fields = ("target",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "target", _check_multi_index(self.target))
+    def __init__(self, target: MultiIndex):
+        object.__setattr__(self, "target", _check_multi_index(target))
         if sum(self.target) < 1:
             raise ValueError("target must have positive order")
 

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, dropwhile, product, repeat, takewhile
 from operator import index, mul, sub
-from typing import Callable, Iterator, Sequence
 
 from .errors import (
     AlgebraConsistencyError,
@@ -44,6 +43,40 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fn(key)
         return value
+
+
+class _Record:
+    """Attributes named in ``_fields``, shown as ``Name(field=value, ...)`` and equal
+    by field to a record of the same class; unhashable, as they may change."""
+
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """An immutable record, hashed by its fields.  ``__init__`` sets them with
+    ``object.__setattr__``; any later assignment or deletion raises."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _block_text(n: int) -> Callable[[tuple[int, ...]], str]:
@@ -207,11 +240,10 @@ class SetPartition:
         return f"SetPartition({self.render()!r})"
 
 
-@dataclass(frozen=True)
-class IntegerPartition:
+class IntegerPartition(_Frozen):
     """Weakly decreasing positive integers; the block-size type of a set partition."""
 
-    parts: tuple[int, ...]
+    _fields = ("parts",)
 
     def __init__(self, parts):
         parts = tuple(sorted((int(p) for p in parts), reverse=True))
@@ -372,8 +404,7 @@ def _check_multi_index(i) -> MultiIndex:
     return i
 
 
-@dataclass(frozen=True)
-class MultiIndexPartition:
+class MultiIndexPartition(_Frozen):
     """An unordered collection of nonzero multi-index columns summing to a target.
 
     ``columns`` holds the distinct columns in strictly decreasing lexicographic
@@ -381,26 +412,27 @@ class MultiIndexPartition:
     matrix has ``length`` columns in total.
     """
 
-    columns: tuple[MultiIndex, ...]
-    multiplicities: tuple[int, ...]
+    _fields = ("columns", "multiplicities")
 
-    def __post_init__(self):
-        if not self.columns:
+    def __init__(self, columns: tuple[MultiIndex, ...], multiplicities: tuple[int, ...]):
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "multiplicities", multiplicities)
+        if not columns:
             raise ValueError("at least one column required")
-        if len(self.columns) != len(self.multiplicities):
+        if len(columns) != len(multiplicities):
             raise ValueError("columns and multiplicities lengths differ")
-        arity = len(self.columns[0])
-        for col in self.columns:
+        arity = len(columns[0])
+        for col in columns:
             if len(col) != arity:
                 raise DimensionError("columns have mixed arities")
             if any(e < 0 for e in col):
                 raise ValueError("negative entry")
             if not any(col):
                 raise ValueError("zero column")
-        for a, b in zip(self.columns, self.columns[1:]):
+        for a, b in zip(columns, columns[1:]):
             if not a > b:
                 raise ValueError("columns must be strictly decreasing")
-        if any(r < 1 for r in self.multiplicities):
+        if any(r < 1 for r in multiplicities):
             raise ValueError("multiplicities must be >= 1")
 
     @classmethod

@@ -242,6 +242,16 @@ def test_cli_bench_out_file(tmp_path, capsys):
     assert doc["config"]["reps"] == 3
 
 
+def test_cli_bench_unwritable_out_fails_before_timing(tmp_path, capsys, monkeypatch):
+    def no_run(types, reps):
+        raise AssertionError("run_bench called before --out was opened")
+
+    monkeypatch.setattr(cumulants.bench, "run_bench", no_run)
+    out = tmp_path / "missing" / "x.json"
+    assert main(["bench", "--types", "2,1", "--reps", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_usage_errors(capsys):
     assert main(["bogus"]) == 1
     assert main([]) == 1

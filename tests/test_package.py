@@ -1,6 +1,8 @@
 """Rules that hold for the whole package."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,3 +24,18 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.partition(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_typing():
+    # every CLI call pays for `import cumulants` at interpreter start; -S keeps
+    # site's own imports (which may include typing) out of the count
+    src = Path(cumulants.__file__).parent.parent
+    code = (
+        "import cumulants, cumulants.cli, sys; "
+        "print(*[m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == []
